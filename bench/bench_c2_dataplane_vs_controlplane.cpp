@@ -82,8 +82,8 @@ Result run_ewo(double writes_per_sec) {
   }
   rig.fabric.run_for(kDuration + kSettle);
   Result r;
-  r.replicated_fraction = static_cast<double>(rig.fabric.runtime(1).ewo_read(bench::kCtrSpace, 0)) /
-                          static_cast<double>(total);
+  const std::uint64_t replicated = nf::read_value(rig.fabric.runtime(1), bench::kCtrSpace, 0);
+  r.replicated_fraction = static_cast<double>(replicated) / static_cast<double>(total);
   r.cp_dropped = 0;
   return r;
 }

@@ -45,9 +45,9 @@ int main() {
         bench::DriverRig rig(cfg, regs, 0, /*mirror_batch=*/1);
         // Dirty every register once so the scan ships the full state.
         for (std::size_t k = 0; k < regs; ++k) {
-          rig.fabric.runtime(0).ewo_add(bench::kCtrSpace, k, 1);
-          rig.fabric.runtime(1).ewo_add(bench::kCtrSpace, k, 1);
-          rig.fabric.runtime(2).ewo_add(bench::kCtrSpace, k, 1);
+          rig.fabric.runtime(0).update(bench::kCtrSpace, k, 1, nullptr);
+          rig.fabric.runtime(1).update(bench::kCtrSpace, k, 1, nullptr);
+          rig.fabric.runtime(2).update(bench::kCtrSpace, k, 1, nullptr);
         }
         const TimeNs duration = 200 * kMs;
         const auto before = rig.fabric.runtime(0).stats().bytes_ewo;

@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
     TimeNs agreed_at = -1;
     for (TimeNs t = 0; t < 5 * kSec && agreed_at < 0; t += 200 * kUs) {
       rig.fabric.run_for(200 * kUs);
-      const auto v0 = rig.fabric.runtime(0).ewo_read(bench::kCtrSpace, 0);
-      if (v0 == 100 && rig.fabric.runtime(1).ewo_read(bench::kCtrSpace, 0) == v0 &&
-          rig.fabric.runtime(3).ewo_read(bench::kCtrSpace, 0) == v0) {
+      const auto v0 = nf::read_value(rig.fabric.runtime(0), bench::kCtrSpace, 0);
+      if (v0 == 100 && nf::read_value(rig.fabric.runtime(1), bench::kCtrSpace, 0) == v0 &&
+          nf::read_value(rig.fabric.runtime(3), bench::kCtrSpace, 0) == v0) {
         agreed_at = rig.fabric.simulator().now();
       }
     }
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     TimeNs refilled_at = -1;
     for (TimeNs t = 0; t < 2 * kSec && refilled_at < 0; t += 500 * kUs) {
       rig.fabric.run_for(500 * kUs);
-      if (rig.fabric.runtime(0).ewo_read(bench::kCtrSpace, 0) == 60) {
+      if (nf::read_value(rig.fabric.runtime(0), bench::kCtrSpace, 0) == 60) {
         refilled_at = rig.fabric.simulator().now();
       }
     }

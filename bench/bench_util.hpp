@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/table.hpp"
+#include "nf/common.hpp"
 #include "swishmem/fabric.hpp"
 
 namespace swish::bench {
@@ -39,11 +40,11 @@ class DriverNf : public shm::NfApp {
     pisa::Switch* sw = &ctx.sw;
     std::uint64_t value = 0;
     if (port >= 1000 && port < 2000) {
-      rt.sro_write({{kSroSpace, static_cast<std::uint64_t>(port - 1000),
-                     ctx.parsed->udp->src_port}},
-                   std::move(ctx.packet), [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write({{kSroSpace, static_cast<std::uint64_t>(port - 1000),
+                 ctx.parsed->udp->src_port}},
+               std::move(ctx.packet), [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 2000 && port < 3000) {
-      const auto st = rt.sro_read(ctx, kSroSpace, port - 2000, value);
+      const auto st = rt.read(&ctx, kSroSpace, port - 2000, value);
       if (st == shm::ReadStatus::kRedirected) {
         ++counters.reads_redirected;
       } else {
@@ -51,14 +52,14 @@ class DriverNf : public shm::NfApp {
         ctx.sw.deliver(std::move(ctx.packet));
       }
     } else if (port >= 3000 && port < 4000) {
-      rt.ewo_add(kCtrSpace, port - 3000, 1);
+      rt.update(kCtrSpace, port - 3000, 1, nullptr);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (port >= 4000 && port < 5000) {
-      rt.sro_write({{kEroSpace, static_cast<std::uint64_t>(port - 4000),
-                     ctx.parsed->udp->src_port}},
-                   std::move(ctx.packet), [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write({{kEroSpace, static_cast<std::uint64_t>(port - 4000),
+                 ctx.parsed->udp->src_port}},
+               std::move(ctx.packet), [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 5000 && port < 6000) {
-      const auto st = rt.sro_read(ctx, kEroSpace, port - 5000, value);
+      const auto st = rt.read(&ctx, kEroSpace, port - 5000, value);
       if (st != shm::ReadStatus::kRedirected) {
         ++counters.reads_ok;
         ctx.sw.deliver(std::move(ctx.packet));

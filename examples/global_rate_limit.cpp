@@ -72,7 +72,7 @@ int main() {
 
   const auto slot = apps[0]->user_slot(heavy);
   std::cout << "\nheavy user's aggregated bytes (read at switch 0): "
-            << fabric.runtime(0).ewo_read(nf::kRateLimiterSpace, slot) << '\n';
+            << nf::read_value(fabric.runtime(0), nf::kRateLimiterSpace, slot) << '\n';
   std::cout << "packets dropped across the fabric: " << dropped << '\n';
   std::cout << "\nEach switch saw only ~25 KB/window from this user — below the\n"
                "limit — yet the shared counter exposed the 100 KB aggregate and\n"

@@ -23,12 +23,14 @@ class QuickstartNf : public shm::NfApp {
   void process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) override {
     if (!ctx.parsed || !ctx.parsed->udp) return;
 
+    // The same four calls (read / read_lpm / write / update) serve every
+    // class; the space's declared class decides what they mean.
     // EWO: write-intensive state, updated on every packet, merged fabric-wide.
-    rt.ewo_add(kCounterSpace, ctx.parsed->udp->dst_port % 16, 1);
+    rt.update(kCounterSpace, ctx.parsed->udp->dst_port % 16, 1, nullptr);
 
     // SRO: read-intensive state, strongly consistent on every switch.
     std::uint64_t drop_flag = 0;
-    if (rt.sro_read(ctx, kConfigSpace, 0, drop_flag) == shm::ReadStatus::kRedirected) {
+    if (rt.read(&ctx, kConfigSpace, 0, drop_flag) == shm::ReadStatus::kRedirected) {
       return;  // served by the chain tail; nothing more to do here
     }
     if (drop_flag == 1) return;  // feature flag says drop
@@ -90,7 +92,9 @@ int main() {
   for (std::size_t s = 0; s < fabric.size(); ++s) {
     std::cout << "  switch " << s << ":";
     for (std::uint64_t k = 0; k < 4; ++k) {
-      std::cout << " " << fabric.runtime(s).ewo_read(kCounterSpace, k);
+      std::uint64_t hits = 0;
+      fabric.runtime(s).read(nullptr, kCounterSpace, k, hits);  // local EWO read
+      std::cout << " " << hits;
     }
     std::cout << '\n';
   }
@@ -99,7 +103,7 @@ int main() {
 
   // 5. Flip the strongly-consistent flag via the SRO chain (from switch 2),
   //    then observe that all switches drop traffic.
-  fabric.runtime(2).sro_write({{kConfigSpace, 0, 1}}, pkt::Packet{}, nullptr);
+  fabric.runtime(2).write({{kConfigSpace, 0, 1}}, pkt::Packet{}, nullptr);
   fabric.run_for(50 * kMs);
   const auto before = delivered;
   for (int i = 0; i < 10; ++i) fabric.sw(i % 3).inject(make_packet(8000));

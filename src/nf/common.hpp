@@ -23,6 +23,14 @@ inline constexpr std::uint32_t kFirewallPrefixSpace = 10;
 inline constexpr std::uint32_t kRateLimiterPrefixSpace = 11;
 inline constexpr std::uint32_t kLbRefcountSpace = 12;
 
+/// Local read outside packet processing (window ticks, sketch queries,
+/// reports): the key's value, or 0 when it has no live entry.
+inline std::uint64_t read_value(shm::ShmRuntime& rt, std::uint32_t space, std::uint64_t key) {
+  std::uint64_t value = 0;
+  rt.read(nullptr, space, key, value);
+  return value;
+}
+
 /// Packs an (IPv4, L4 port) endpoint into one 64-bit register value.
 constexpr std::uint64_t pack_endpoint(pkt::Ipv4Addr ip, std::uint16_t port) noexcept {
   return (static_cast<std::uint64_t>(ip.value()) << 16) | port;

@@ -27,9 +27,9 @@ void DdosDetectorApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   ++stats_.packets;
 
   for (std::size_t row = 0; row < config_.sketch_rows; ++row) {
-    rt.ewo_add(kDdosSketchSpace, cell(row, dst), 1);
+    rt.update(kDdosSketchSpace, cell(row, dst), 1, nullptr);
   }
-  rt.ewo_add(kDdosTotalSpace, 0, 1);
+  rt.update(kDdosTotalSpace, 0, 1, nullptr);
 
   // The sketch is read on every packet (Table 1): the per-packet estimate
   // feeds window-based detection bookkeeping.
@@ -44,14 +44,14 @@ void DdosDetectorApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
 std::uint64_t DdosDetectorApp::estimate(shm::ShmRuntime& rt, pkt::Ipv4Addr dst) const {
   std::uint64_t est = ~0ULL;
   for (std::size_t row = 0; row < config_.sketch_rows; ++row) {
-    est = std::min(est, rt.ewo_read(kDdosSketchSpace, cell(row, dst)));
+    est = std::min(est, read_value(rt, kDdosSketchSpace, cell(row, dst)));
   }
   return est == ~0ULL ? 0 : est;
 }
 
 void DdosDetectorApp::window_tick(shm::ShmRuntime& rt) {
   ++stats_.windows;
-  const std::uint64_t total = rt.ewo_read(kDdosTotalSpace, 0);
+  const std::uint64_t total = read_value(rt, kDdosTotalSpace, 0);
   const std::uint64_t delta_total = total - window_base_total_;
   if (delta_total >= config_.min_window_packets) {
     for (std::uint32_t dst_value : watched_) {

@@ -43,11 +43,12 @@ class HeavyHitterApp : public shm::NfApp {
     return s;
   }
 
+  void setup(pisa::Switch& sw, shm::ShmRuntime&) override { sw_ = &sw; }
   void process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) override;
 
   /// Fabric-wide count for a source prefix, read locally.
   [[nodiscard]] std::uint64_t count(shm::ShmRuntime& rt, pkt::Ipv4Addr src) const {
-    return rt.ewo_read(kHeavyHitterSpace, slot_of(src));
+    return read_value(rt, kHeavyHitterSpace, slot_of(src));
   }
 
   /// Fired once per (switch, key) when the aggregate crosses the threshold.
@@ -62,9 +63,13 @@ class HeavyHitterApp : public shm::NfApp {
     return (src.value() & mask) % config_.key_slots;
   }
 
+  /// Threshold check once a packet is counted (`aggregate`: fabric-wide).
+  void on_counted(pkt::Ipv4Addr src, std::uint64_t aggregate);
+
   Config config_;
   Stats stats_;
   std::unordered_set<std::uint64_t> reported_;  ///< dedup per switch
+  pisa::Switch* sw_ = nullptr;                  ///< this switch (setup)
 };
 
 }  // namespace swish::nf

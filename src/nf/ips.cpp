@@ -21,7 +21,7 @@ std::uint64_t IpsApp::signature_of(std::span<const std::uint8_t> payload) noexce
 void IpsApp::install_signature(shm::ShmRuntime& rt, std::uint64_t signature) {
   ++stats_.signatures_installed;
   std::vector<pkt::WriteOp> ops{{kIpsSignatureSpace, slot_of(signature), signature}};
-  rt.sro_write(std::move(ops), pkt::Packet{}, nullptr);
+  rt.write(std::move(ops), pkt::Packet{}, nullptr);
 }
 
 void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
@@ -31,7 +31,7 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
 
   const bool blocked =
       config_.shared_blocklist
-          ? rt.ewo_read(kIpsBlocklistSpace, src_slot) != 0
+          ? read_value(rt, kIpsBlocklistSpace, src_slot) != 0
           : match_counts_ && match_counts_->read(static_cast<RegisterIndex>(src_slot)) >=
                                  config_.block_threshold;
   if (blocked) {
@@ -41,16 +41,17 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
 
   const std::uint64_t sig = signature_of(ctx.packet.l4_payload(p));
   std::uint64_t stored = 0;
-  // ERO: always answered locally, never redirected.
-  if (rt.sro_read(ctx, kIpsSignatureSpace, slot_of(sig), stored) == shm::ReadStatus::kOk &&
-      stored == sig) {
+  // ERO answers locally; a strong class may redirect to its tail instead.
+  const shm::ReadStatus status = rt.read(&ctx, kIpsSignatureSpace, slot_of(sig), stored);
+  if (status == shm::ReadStatus::kRedirected) return;
+  if (status == shm::ReadStatus::kOk && stored == sig) {
     ++stats_.matches;
     if (match_counts_) {
       const std::uint64_t count = match_counts_->add(static_cast<RegisterIndex>(src_slot), 1);
       if (config_.shared_blocklist && count >= config_.block_threshold) {
         // Publish the block decision fabric-wide (grow-only set: a blocked
         // source stays blocked everywhere, regardless of delivery order).
-        rt.ewo_set_add(kIpsBlocklistSpace, src_slot, 1);
+        rt.write({{kIpsBlocklistSpace, src_slot, 1}}, pkt::Packet{}, nullptr);
       }
     }
     return;  // matched packet dropped

@@ -12,7 +12,7 @@ void LoadBalancerApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
 
   const std::uint64_t key = pkt::FlowKey::from(p).hash();
   std::uint64_t dip_packed = 0;
-  switch (rt.sro_read(ctx, kLbSpace, key, dip_packed)) {
+  switch (rt.read(&ctx, kLbSpace, key, dip_packed)) {
     case shm::ReadStatus::kOk: {
       ++stats_.forwarded;
       ctx.sw.deliver(pkt::rewrite_l3l4(ctx.packet, p, std::nullopt, endpoint_ip(dip_packed),
@@ -60,10 +60,8 @@ void LoadBalancerApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
     rt.read(nullptr, kLbRefcountSpace, dip_index, refs);
     ops.push_back({kLbRefcountSpace, dip_index, refs + 1});
     ++stats_.txn_installs;
-    rt.write_txn(std::move(ops), std::move(out), std::move(release));
-    return;
   }
-  rt.sro_write(std::move(ops), std::move(out), std::move(release));
+  rt.write(std::move(ops), std::move(out), std::move(release));
 }
 
 }  // namespace swish::nf

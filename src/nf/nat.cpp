@@ -20,7 +20,7 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
                       const pkt::ParsedPacket& p) {
   const std::uint64_t key = pkt::FlowKey::from(p).hash();
   std::uint64_t mapping = 0;
-  switch (rt.sro_read(ctx, kNatSpace, key, mapping)) {
+  switch (rt.read(&ctx, kNatSpace, key, mapping)) {
     case shm::ReadStatus::kOk: {
       ++stats_.translated_out;
       ctx.sw.deliver(pkt::rewrite_l3l4(ctx.packet, p, endpoint_ip(mapping), std::nullopt,
@@ -75,7 +75,7 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
 
   // Both directions of the mapping commit as one multi-key transaction: one
   // consensus log slot under kCON, one chain write request under the chain
-  // classes. An undeclared space keeps the legacy chain-write path.
+  // classes.
   const pkt::FlowKey reverse{p.ipv4->dst, config_.public_ip, p.dst_port(), public_port,
                              p.ipv4->protocol};
   std::vector<pkt::WriteOp> ops{
@@ -85,12 +85,8 @@ void NatApp::outbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt,
   pkt::Packet out = pkt::rewrite_l3l4(ctx.packet, p, config_.public_ip, std::nullopt,
                                       public_port, std::nullopt);
   pisa::Switch* sw = &ctx.sw;
-  auto release = [sw](pkt::Packet&& released) { sw->deliver(std::move(released)); };
-  if (rt.engine_for_space(kNatSpace) != nullptr) {
-    rt.write_txn(std::move(ops), std::move(out), std::move(release));
-  } else {
-    rt.sro_write(std::move(ops), std::move(out), std::move(release));
-  }
+  rt.write(std::move(ops), std::move(out),
+           [sw](pkt::Packet&& released) { sw->deliver(std::move(released)); });
 }
 
 void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet packet,
@@ -110,18 +106,14 @@ void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet 
   pkt::Packet out = pkt::rewrite_l3l4(packet, *parsed, config_.public_ip, std::nullopt,
                                       public_port, std::nullopt);
   pisa::Switch* swp = &sw;
-  auto release = [swp](pkt::Packet&& released) { swp->deliver(std::move(released)); };
-  if (rt.engine_for_space(kNatSpace) != nullptr) {
-    rt.write_txn(std::move(ops), std::move(out), std::move(release));
-  } else {
-    rt.sro_write(std::move(ops), std::move(out), std::move(release));
-  }
+  rt.write(std::move(ops), std::move(out),
+           [swp](pkt::Packet&& released) { swp->deliver(std::move(released)); });
 }
 
 void NatApp::inbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt, const pkt::ParsedPacket& p) {
   const std::uint64_t key = pkt::FlowKey::from(p).hash();
   std::uint64_t mapping = 0;
-  switch (rt.sro_read(ctx, kNatSpace, key, mapping)) {
+  switch (rt.read(&ctx, kNatSpace, key, mapping)) {
     case shm::ReadStatus::kOk:
       ++stats_.translated_in;
       ctx.sw.deliver(pkt::rewrite_l3l4(ctx.packet, p, std::nullopt, endpoint_ip(mapping),

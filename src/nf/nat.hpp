@@ -65,6 +65,7 @@ class NatApp : public shm::NfApp {
     s.id = kNatPortPoolSpace;
     s.name = "nat.port_pool";
     s.cls = shm::ConsistencyClass::kOWN;
+    s.merge = shm::MergePolicy::kGCounter;  // fetch-add: classes without update() refuse it
     s.size = 16;  // one counter key; small register footprint
     return s;
   }

@@ -65,7 +65,8 @@ class RateLimiterApp : public shm::NfApp {
   /// to be deployed.
   static void set_subnet_limit(shm::ShmRuntime& rt, pkt::Ipv4Addr prefix, unsigned len,
                                std::uint64_t bytes_per_window) {
-    rt.ewo_write(kRateLimiterPrefixSpace, subnet_key(prefix, len), bytes_per_window);
+    rt.write({{kRateLimiterPrefixSpace, subnet_key(prefix, len), bytes_per_window}}, pkt::Packet{},
+             nullptr);
   }
 
   void setup(pisa::Switch& sw, shm::ShmRuntime& runtime) override;
@@ -78,12 +79,15 @@ class RateLimiterApp : public shm::NfApp {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  void window_tick(shm::ShmRuntime& rt);
+  /// Inline over-limit check once a packet is counted (`aggregate`: bytes).
+  void on_counted(pkt::Ipv4Addr src, std::uint64_t aggregate);
+  void window_tick();
 
   Config config_;
   Stats stats_;
   pisa::RegisterArray* limited_ = nullptr;     ///< per-user throttle flag (local)
   std::vector<std::uint64_t> window_base_;     ///< aggregate at window start
+  shm::ShmRuntime* rt_ = nullptr;              ///< this switch's runtime (setup)
 };
 
 }  // namespace swish::nf

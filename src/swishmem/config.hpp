@@ -91,28 +91,38 @@ struct SpaceConfig {
   std::size_t size = 1024;
   unsigned value_bits = 64;
 
-  /// Storage layout; kSparse rebuilds the space on the ordered CoW store.
-  SpaceKind kind = SpaceKind::kDense;
-  /// Logical key width in bits. Sparse spaces accepting LPM-packed keys
-  /// (store::lpm_pack) need key_bits <= 56; plain keyed use allows 64.
-  unsigned key_bits = 64;
+  // Access pattern ------------------------------------------------------
+  // Every engine reads these four fields as the space's declared access
+  // pattern and refuses at add_space one it cannot serve (DESIGN.md §11).
 
-  // SRO/ERO only --------------------------------------------------------
-  /// Guard (sequence number + pending bit) slots. 0 means one per key; a
-  /// smaller count shares guards across hashed keys — the §7 memory
+  /// Storage layout; kSparse rebuilds the space on the ordered CoW store,
+  /// which (like a table) reads absent keys as ReadStatus::kMiss.
+  SpaceKind kind = SpaceKind::kDense;
+  /// Logical key width in bits. Below 64 declares a longest-prefix-match
+  /// space (store::lpm_pack keys, key_bits <= 56), which needs sparse storage
+  /// and an engine with read_lpm (not OWN).
+  unsigned key_bits = 64;
+  /// A flow table keyed by hashed 64-bit ids (NAT / firewall / LB
+  /// connection tables). Dense storage keeps it in a control-plane
+  /// exact-match table, so chain hops apply updates via their CPs; EWO and
+  /// OWN index dense registers by the key itself and refuse it.
+  bool table_backed = false;
+  /// How values combine: LWW registers change through write(); G-/PN-
+  /// counters only through update(), which SRO, ERO and CON lack; G-set
+  /// writes OR their bits in, a join only EWO performs.
+  MergePolicy merge = MergePolicy::kLww;
+
+  // Replication tuning --------------------------------------------------
+  /// SRO/ERO/CON guard (sequence number + pending bit) slots. 0 means one per
+  /// key; a smaller count shares guards across hashed keys — the §7 memory
   /// optimization, at the cost of false-pending read redirections.
   std::size_t guard_slots = 0;
-  /// True when the state lives in a control-plane table (NAT / firewall /
-  /// LB connection tables): chain hops then apply updates via their CPs.
-  bool table_backed = false;
-
-  // EWO only -------------------------------------------------------------
-  MergePolicy merge = MergePolicy::kLww;
-  /// Immediately mirror each write to the group (in addition to periodic
-  /// sync). Disable to measure the sync-only ablation.
+  /// EWO: immediately mirror each write to the group (in addition to
+  /// periodic sync). Disable to measure the sync-only ablation.
   bool mirror_writes = true;
-  /// Coalesce this many mirrored entries per update packet (1 = no batching;
-  /// larger trades bandwidth for staleness, §7 "Bandwidth overhead").
+  /// EWO: coalesce this many mirrored entries per update packet (1 = no
+  /// batching; larger trades bandwidth for staleness, §7 "Bandwidth
+  /// overhead").
   std::size_t mirror_batch = 1;
 
   [[nodiscard]] std::size_t effective_guard_slots() const noexcept {

@@ -26,11 +26,13 @@ ChainEngine::ChainEngine(EngineHost& host, const char* proto_name) : ProtocolEng
 
 void ChainEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
   (void)replicas;  // chain membership comes from the controller's pushes
+  check_servable(config);
   spaces_.emplace(config.id, std::make_unique<SroSpaceState>(host_.sw(), config));
   remote_spaces_.erase(config.id);  // migration: this switch became a member
 }
 
 void ChainEngine::add_remote_space(const SpaceConfig& config) {
+  check_servable(config);
   remote_spaces_.emplace(config.id, config);
 }
 
@@ -98,8 +100,7 @@ void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
   ++stats_.writes_submitted;
   if (pending_writes_.size() >= host_.config().cp_buffer_limit) {
     ++stats_.writes_rejected;
-    host_.report_drop(telemetry::DropReason::kCpBufferFull,
-                      ops.empty() ? 0 : ops.front().key);
+    host_.report_drop(telemetry::DropReason::kCpBufferFull, ops.front().key);
     return;
   }
   // 40-bit mask: the counter must never wrap into the switch-id bits (same
@@ -111,15 +112,13 @@ void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
   pw.output = std::move(output);
   pw.release = std::move(release);
   pw.submit_time = host_.sw().simulator().now();
-  if (!pw.ops.empty()) {
-    pw.trace = trace_origin("chain_write", pw.ops.front().space, pw.ops.front().key);
-    if (obs_ != nullptr) {
-      // Commit-at-origin for lag accounting is the submit: each chain member
-      // is one expected apply (the writer re-counts itself if in the chain).
-      const auto expected =
-          static_cast<std::uint32_t>(host_.chain_for(pw.ops.front().space).chain.size());
-      for (const auto& op : pw.ops) obs_->on_commit(op.space, op.key, id, host_.self(), expected);
-    }
+  pw.trace = trace_origin("chain_write", pw.ops.front().space, pw.ops.front().key);
+  if (obs_ != nullptr) {
+    // Commit-at-origin for lag accounting is the submit: each chain member
+    // is one expected apply (the writer re-counts itself if in the chain).
+    const auto expected =
+        static_cast<std::uint32_t>(host_.chain_for(pw.ops.front().space).chain.size());
+    for (const auto& op : pw.ops) obs_->on_commit(op.space, op.key, id, host_.self(), expected);
   }
   const telemetry::SpanContext tr = pw.trace;
   pending_writes_.emplace(id, std::move(pw));
@@ -139,7 +138,6 @@ void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
 void ChainEngine::send_write_request(std::uint64_t write_id) {
   auto it = pending_writes_.find(write_id);
   if (it == pending_writes_.end()) return;
-  if (it->second.ops.empty()) return;
   const pkt::ChainConfig& chain = host_.chain_for(it->second.ops.front().space);
   if (chain.chain.empty()) return;  // no chain configured yet; retry later
   pkt::WriteRequest req;

@@ -46,6 +46,7 @@ ConsensusEngine::ConsensusEngine(EngineHost& host) : ProtocolEngine(host) {
 
 void ConsensusEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
   (void)replicas;  // the replica set comes from the controller's group pushes
+  check_servable(config);
   spaces_.emplace(config.id, std::make_unique<SroSpaceState>(host_.sw(), config));
 }
 
@@ -268,10 +269,6 @@ void ConsensusEngine::finish_election() {
 void ConsensusEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
                             WriteRelease release) {
   ++stats_.writes_submitted;
-  if (ops.empty()) {
-    if (release) release(std::move(output));
-    return;
-  }
   if (pending_writes_.size() >= host_.config().con_queue_limit) {
     ++stats_.writes_rejected;
     host_.report_drop(telemetry::DropReason::kConQueueOverflow, ops.front().key);

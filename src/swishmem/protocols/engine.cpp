@@ -109,6 +109,37 @@ std::string ProtocolEngine::metric_prefix(const char* proto_name) const {
   return "shm.sw" + std::to_string(host_.self()) + "." + proto_name + ".";
 }
 
+void check_servable(const SpaceConfig& config) {
+  const auto reject = [&config](const std::string& why) {
+    throw std::invalid_argument("space '" + config.name + "' (" + to_string(config.cls) + ", " +
+                                to_string(config.kind) + "): " + why);
+  };
+  const bool local_class =
+      config.cls == ConsistencyClass::kEWO || config.cls == ConsistencyClass::kOWN;
+  const bool counter =
+      config.merge == MergePolicy::kGCounter || config.merge == MergePolicy::kPNCounter;
+  if (config.key_bits < 64 && !config.sparse()) {
+    reject("key_bits < 64 declares prefix matching, which dense storage cannot do; use "
+           "kind sparse");
+  }
+  if (config.key_bits < 64 && config.cls == ConsistencyClass::kOWN) {
+    reject("OWN has no prefix-match read; use SRO, ERO, EWO or CON");
+  }
+  if (counter && !local_class) {
+    reject(std::string(to_string(config.merge)) + " merge needs update(); use EWO or OWN");
+  }
+  if (counter && config.cls == ConsistencyClass::kEWO && config.sparse()) {
+    reject("counter merges need dense per-replica registers; use kind dense or OWN");
+  }
+  if (config.merge == MergePolicy::kGSet && config.cls != ConsistencyClass::kEWO) {
+    reject("G-set merge needs a join; use EWO");
+  }
+  if (config.table_backed && !config.sparse() && local_class) {
+    reject("registers indexed by key cannot hold a table of hashed keys; use SRO, ERO or "
+           "CON, or kind sparse");
+  }
+}
+
 void ProtocolEngine::add_remote_space(const SpaceConfig& config) {
   throw std::invalid_argument(std::string("add_remote_space: ") + to_string(config.cls) +
                               " spaces cannot be remote");

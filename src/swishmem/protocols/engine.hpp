@@ -36,10 +36,10 @@ struct PacketContext;
 
 namespace swish::shm {
 
-/// Outcome of a strong read during packet processing.
+/// Outcome of a read during packet processing.
 enum class ReadStatus {
   kOk,          ///< value is valid (read served locally or authoritatively)
-  kMiss,        ///< table-backed space has no entry for the key
+  kMiss,  ///< no live entry for the key (DESIGN.md §11 "One miss rule")
   kRedirected,  ///< original packet was forwarded to the chain tail; the NF
                 ///< must stop processing this packet and emit no output
 };
@@ -194,6 +194,7 @@ class ProtocolEngine {
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   // -- Spaces -----------------------------------------------------------------
+  /// Throws std::invalid_argument for a space it cannot serve (check_servable).
   virtual void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) = 0;
   /// Declares a space of this class the switch does NOT replicate (§9).
   /// Engines without a remote-access path reject it.
@@ -214,8 +215,11 @@ class ProtocolEngine {
   virtual void on_config_update() {}
 
   // -- Datapath (NF-facing, uniform across engines) -----------------------------
+  // No call throws on a key: keys a space cannot address read as kMiss, are
+  // skipped by writes, and make update() return false.
+
   /// Read during packet processing. `ctx` enables redirection; engines that
-  /// never redirect ignore it (and accept nullptr).
+  /// never redirect ignore it (and accept nullptr). Sets `value` only on kOk.
   virtual ReadStatus read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                           std::uint64_t& value) = 0;
   /// Longest-prefix-match read over a sparse space holding lpm_pack()ed
@@ -223,12 +227,13 @@ class ProtocolEngine {
   /// nullopt when the space is dense, unknown, or nothing matches.
   [[nodiscard]] virtual std::optional<std::uint64_t> read_lpm(std::uint32_t space,
                                                               std::uint64_t key);
-  /// Write of one or more ops (all in spaces of this engine). `release` runs
-  /// on this switch when the write has committed per the engine's contract —
-  /// immediately for eventually-consistent engines.
+  /// Write of one or more ops (non-empty, all in spaces of this engine: the
+  /// runtime checks). `release` runs on this switch when the write has
+  /// committed per the engine's contract — immediately for eventually-
+  /// consistent engines. A G-set write ORs the value's bits in.
   virtual void write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) = 0;
-  /// Read-modify-write (counters). Returns false when the engine does not
-  /// support atomic updates; `done` receives the new value once applied.
+  /// Read-modify-write (counters). Returns false when the engine or space
+  /// cannot count; `done` (may be empty) receives the new value once applied.
   virtual bool update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
                       UpdateDone done);
 
@@ -325,6 +330,11 @@ class ProtocolEngine {
   telemetry::SpanRecorder* spans_ = nullptr;
   const telemetry::SpanContext* active_ctx_ = nullptr;
 };
+
+/// Install check every engine's add_space runs: throws std::invalid_argument,
+/// naming the space and a class that would serve it, when the access pattern
+/// `config` declares is one its class cannot serve (DESIGN.md §11).
+void check_servable(const SpaceConfig& config);
 
 /// Creates the engine implementing `cls` (the only place that maps a
 /// consistency class to its protocol).

@@ -21,6 +21,7 @@ EwoEngine::EwoEngine(EngineHost& host)
 }
 
 void EwoEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
+  check_servable(config);
   spaces_.emplace(config.id,
                   std::make_unique<EwoSpaceState>(host_.sw(), config, replicas, host_.self()));
 }
@@ -87,68 +88,19 @@ bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Local register operations (§6.2)
-// ---------------------------------------------------------------------------
-
-std::uint64_t EwoEngine::local_read(std::uint32_t space, std::uint64_t key) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return 0;
-  ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
-  return it->second->read(key);
-}
-
-void EwoEngine::local_write(std::uint32_t space, std::uint64_t key, std::uint64_t value) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return;
-  ++stats_.local_writes;
-  // Lamport-style hybrid timestamp (§6.2 allows either a Lamport clock or a
-  // synchronized real-time clock): strictly monotone per switch, so two
-  // same-instant local writes still produce ordered versions and the later
-  // value is never rejected by remote merges.
-  TimeNs ts = host_.sw().simulator().now() + host_.config().clock_offset;
-  if (ts <= last_lww_timestamp_) ts = last_lww_timestamp_ + 1;
-  last_lww_timestamp_ = ts;
-  const RawVersion version = Version::pack(ts, host_.self());
-  it->second->write_local(key, value, version);
-  const telemetry::SpanContext tr = trace_origin("ewo_write", space, key);
-  if (obs_ != nullptr && obs_->enabled()) {
-    obs_->on_commit(space, key, version, host_.self(), expected_replicas());
-  }
-  if (it->second->config().mirror_writes) mirror_enqueue(*it->second, key, tr);
-}
-
-std::uint64_t EwoEngine::add(std::uint32_t space, std::uint64_t key, std::int64_t delta) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return 0;
-  ++stats_.local_writes;
-  const std::uint64_t result = it->second->add_local(key, delta);
-  const telemetry::SpanContext tr = trace_origin("ewo_add", space, key);
-  observe_commit(*it->second, space, key);
-  if (it->second->config().mirror_writes) mirror_enqueue(*it->second, key, tr);
-  return result;
-}
-
-std::uint64_t EwoEngine::set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits) {
-  auto it = spaces_.find(space);
-  if (it == spaces_.end()) return 0;
-  ++stats_.local_writes;
-  const std::uint64_t result = it->second->set_add_local(key, bits);
-  const telemetry::SpanContext tr = trace_origin("ewo_set_add", space, key);
-  observe_commit(*it->second, space, key);
-  if (it->second->config().mirror_writes) mirror_enqueue(*it->second, key, tr);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Uniform datapath interface
+// Datapath: every operation applies locally in the data plane (§6.2)
 // ---------------------------------------------------------------------------
 
 ReadStatus EwoEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                            std::uint64_t& value) {
   (void)ctx;  // EWO never redirects
-  if (!spaces_.contains(space)) return ReadStatus::kMiss;
-  value = local_read(space, key);
+  auto it = spaces_.find(space);
+  if (it == spaces_.end()) return ReadStatus::kMiss;
+  ++stats_.reads;
+  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  const std::optional<std::uint64_t> v = it->second->read(key);
+  if (!v) return ReadStatus::kMiss;
+  value = *v;
   return ReadStatus::kOk;
 }
 
@@ -161,17 +113,76 @@ std::optional<std::uint64_t> EwoEngine::read_lpm(std::uint32_t space, std::uint6
 
 void EwoEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) {
   // EWO commits locally: apply, then release the output immediately.
-  for (const auto& op : ops) local_write(op.space, op.key, op.value);
+  for (const auto& op : ops) {
+    auto it = spaces_.find(op.space);
+    if (it == spaces_.end() || !it->second->addressable(op.key)) continue;
+    EwoSpaceState& st = *it->second;
+    switch (st.config().merge) {
+      case MergePolicy::kLww:
+        write_lww(st, op.space, op.key, op.value);
+        break;
+      case MergePolicy::kGSet:
+        ++stats_.local_writes;
+        st.set_add_local(op.key, op.value);
+        publish_crdt(st, op.space, op.key, "ewo_set_add");
+        break;
+      case MergePolicy::kGCounter:
+      case MergePolicy::kPNCounter:
+        break;  // counters change only through update()
+    }
+  }
   if (release) release(std::move(output));
 }
 
 bool EwoEngine::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
                        UpdateDone done) {
   auto it = spaces_.find(space);
-  if (it == spaces_.end()) return false;
-  const std::uint64_t result = add(space, key, delta);
+  if (it == spaces_.end() || !it->second->addressable(key)) return false;
+  EwoSpaceState& st = *it->second;
+  const MergePolicy merge = st.config().merge;
+  if (merge != MergePolicy::kPNCounter && (merge != MergePolicy::kGCounter || delta < 0)) {
+    return false;
+  }
+  ++stats_.local_writes;
+  const std::uint64_t result = st.add_local(key, delta);
+  publish_crdt(st, space, key, "ewo_add");
   if (done) done(result);
   return true;
+}
+
+void EwoEngine::write_lww(EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                          std::uint64_t value) {
+  ++stats_.local_writes;
+  // Lamport-style hybrid timestamp (§6.2 allows either a Lamport clock or a
+  // synchronized real-time clock): strictly monotone per switch, so two
+  // same-instant local writes still produce ordered versions and the later
+  // value is never rejected by remote merges.
+  TimeNs ts = host_.sw().simulator().now() + host_.config().clock_offset;
+  if (ts <= last_lww_timestamp_) ts = last_lww_timestamp_ + 1;
+  last_lww_timestamp_ = ts;
+  const RawVersion version = Version::pack(ts, host_.self());
+  st.write_local(key, value, version);
+  const telemetry::SpanContext tr = trace_origin("ewo_write", space, key);
+  if (obs_ != nullptr && obs_->enabled()) {
+    obs_->on_commit(space, key, version, host_.self(), expected_replicas());
+  }
+  if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
+}
+
+void EwoEngine::publish_crdt(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                             const char* span_name) {
+  const telemetry::SpanContext tr = trace_origin(span_name, space, key);
+  if (obs_ != nullptr && obs_->enabled()) {
+    // The identity the observatory will see back in on_apply: the value of
+    // this switch's own slot (monotone). collect_own_entries gives exactly
+    // the entries we would mirror.
+    observe_scratch_.clear();
+    st.collect_own_entries(key, observe_scratch_);
+    std::uint64_t ident = 0;
+    for (const auto& e : observe_scratch_) ident = std::max(ident, e.value);
+    obs_->on_commit(space, key, ident, host_.self(), expected_replicas());
+  }
+  if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,24 +200,6 @@ std::uint32_t EwoEngine::expected_replicas() const noexcept {
     if (dst != host_.self()) ++n;
   }
   return n;
-}
-
-void EwoEngine::observe_commit(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key) {
-  if (obs_ == nullptr || !obs_->enabled()) return;
-  // The identity the observatory will see back in on_apply: for CRDTs that is
-  // the value of this switch's own slot (monotone), for LWW the packed
-  // version. collect_own_entries gives exactly the entries we would mirror.
-  observe_scratch_.clear();
-  std::vector<pkt::EwoEntry>& own = observe_scratch_;
-  st.collect_own_entries(key, own);
-  if (own.empty()) return;
-  std::uint64_t ident = 0;
-  if (st.config().merge == MergePolicy::kLww) {
-    ident = own.front().version;
-  } else {
-    for (const auto& e : own) ident = std::max(ident, e.value);
-  }
-  obs_->on_commit(space, key, ident, host_.self(), expected_replicas());
 }
 
 void EwoEngine::mirror_enqueue(const EwoSpaceState& st, std::uint64_t key,

@@ -54,13 +54,6 @@ class EwoEngine final : public ProtocolEngine {
   [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
   [[nodiscard]] std::vector<StatRow> stat_rows() const override;
 
-  // -- Synchronous local API (the §5 register calls; used by the runtime's
-  // -- legacy ewo_* wrappers and by NFs via those) -------------------------------
-  std::uint64_t local_read(std::uint32_t space, std::uint64_t key);
-  void local_write(std::uint32_t space, std::uint64_t key, std::uint64_t value);
-  std::uint64_t add(std::uint32_t space, std::uint64_t key, std::int64_t delta);
-  std::uint64_t set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits);
-
   [[nodiscard]] const EwoSpaceState* space_state(std::uint32_t id) const;
   [[nodiscard]] const Stats& ewo_stats() const noexcept { return stats_; }
 
@@ -71,6 +64,13 @@ class EwoEngine final : public ProtocolEngine {
     telemetry::SpanContext trace;  ///< causal chain of the buffered write
   };
 
+  /// LWW local write under a fresh per-switch version.
+  void write_lww(EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                 std::uint64_t value);
+  /// Span, observatory commit-at-origin and mirror of a CRDT (counter /
+  /// G-set) write already applied to `st`.
+  void publish_crdt(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
+                    const char* span_name);
   void mirror_enqueue(const EwoSpaceState& st, std::uint64_t key,
                       const telemetry::SpanContext& trace);
   void flush_mirror_buffer();
@@ -78,9 +78,6 @@ class EwoEngine final : public ProtocolEngine {
   [[nodiscard]] const std::vector<SwitchId>& replication_targets() const noexcept;
   /// Replicas other than this switch (expected applies for lag accounting).
   [[nodiscard]] std::uint32_t expected_replicas() const noexcept;
-  /// Reports commit-at-origin to the observatory; ident is the space's own
-  /// wire identity for the key (LWW packed version / max own CRDT slot).
-  void observe_commit(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key);
 
   std::unordered_map<std::uint32_t, std::unique_ptr<EwoSpaceState>> spaces_;
 
@@ -89,7 +86,7 @@ class EwoEngine final : public ProtocolEngine {
   // avoids a map lookup per buffered entry.
   std::vector<MirrorSlot> mirror_buffer_;
 
-  // Scratch for observe_commit: with the observatory on, every local write
+  // Scratch for publish_crdt: with the observatory on, every local write
   // collects its own entries — reusing one buffer keeps that allocation-free.
   std::vector<pkt::EwoEntry> observe_scratch_;
 

@@ -3,6 +3,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "swishmem/spaces.hpp"
+
 namespace swish::shm {
 
 std::uint64_t own_mix64(std::uint64_t h) noexcept {
@@ -27,10 +29,16 @@ OwnSpaceState::OwnSpaceState(pisa::Switch& sw, const SpaceConfig& config) : cfg_
   dir_ = &sw.add_register_array(cfg_.name + ".dir", cfg_.size, 32);
 }
 
-std::size_t OwnSpaceState::slot(std::uint64_t key) const noexcept {
-  if (store_) return static_cast<std::size_t>(key);  // per-key entries, no hashing
-  return key < cfg_.size ? static_cast<std::size_t>(key)
-                         : static_cast<std::size_t>(own_mix64(key) % cfg_.size);
+std::optional<std::uint64_t> OwnSpaceState::read(std::uint64_t key) const {
+  if (store_) {
+    // Ownership and directory bookkeeping materialize entries too; only a
+    // written (version != 0), non-erased one is live.
+    const store::Entry* e = store_->find(key);
+    if (e == nullptr || e->version == 0 || e->value == kTombstone) return std::nullopt;
+    return e->value;
+  }
+  if (!addressable(key)) return std::nullopt;
+  return value(key);
 }
 
 std::uint64_t OwnSpaceState::value(std::uint64_t key) const {
@@ -38,7 +46,7 @@ std::uint64_t OwnSpaceState::value(std::uint64_t key) const {
     const store::Entry* e = store_->find(key);
     return e != nullptr ? e->value : 0;
   }
-  return values_->read(static_cast<RegisterIndex>(slot(key)));
+  return values_->read(static_cast<RegisterIndex>(key));
 }
 
 std::uint64_t OwnSpaceState::version(std::uint64_t key) const {
@@ -46,7 +54,7 @@ std::uint64_t OwnSpaceState::version(std::uint64_t key) const {
     const store::Entry* e = store_->find(key);
     return e != nullptr ? e->version : 0;
   }
-  return versions_->read(static_cast<RegisterIndex>(slot(key)));
+  return versions_->read(static_cast<RegisterIndex>(key));
 }
 
 void OwnSpaceState::store(std::uint64_t key, std::uint64_t value, std::uint64_t version) {
@@ -56,7 +64,7 @@ void OwnSpaceState::store(std::uint64_t key, std::uint64_t value, std::uint64_t 
     e.version = version;
     return;
   }
-  const auto i = static_cast<RegisterIndex>(slot(key));
+  const auto i = static_cast<RegisterIndex>(key);
   values_->write(i, value);
   versions_->write(i, version);
 }
@@ -69,10 +77,10 @@ void OwnSpaceState::owner_write(std::uint64_t key, std::uint64_t value) {
     dirty_.insert(key);
     return;
   }
-  const auto i = static_cast<RegisterIndex>(slot(key));
+  const auto i = static_cast<RegisterIndex>(key);
   values_->write(i, value);
   versions_->write(i, versions_->read(i) + 1);
-  dirty_.insert(slot(key));
+  dirty_.insert(key);
 }
 
 bool OwnSpaceState::owned(std::uint64_t key) const {
@@ -80,7 +88,7 @@ bool OwnSpaceState::owned(std::uint64_t key) const {
     const store::Entry* e = store_->find(key);
     return e != nullptr && (e->flags & store::Entry::kFlagOwned) != 0;
   }
-  return owned_->read(static_cast<RegisterIndex>(slot(key))) != 0;
+  return owned_->read(static_cast<RegisterIndex>(key)) != 0;
 }
 
 void OwnSpaceState::set_owned(std::uint64_t key, bool owned) {
@@ -92,7 +100,7 @@ void OwnSpaceState::set_owned(std::uint64_t key, bool owned) {
     }
     return;
   }
-  owned_->write(static_cast<RegisterIndex>(slot(key)), owned ? 1 : 0);
+  owned_->write(static_cast<RegisterIndex>(key), owned ? 1 : 0);
 }
 
 SwitchId OwnSpaceState::dir_owner(std::uint64_t key) const {
@@ -101,7 +109,7 @@ SwitchId OwnSpaceState::dir_owner(std::uint64_t key) const {
     const std::uint32_t raw = e != nullptr ? e->aux : 0;
     return raw == 0 ? kInvalidNode : static_cast<SwitchId>(raw - 1);
   }
-  const std::uint64_t raw = dir_->read(static_cast<RegisterIndex>(slot(key)));
+  const std::uint64_t raw = dir_->read(static_cast<RegisterIndex>(key));
   return raw == 0 ? kInvalidNode : static_cast<SwitchId>(raw - 1);
 }
 
@@ -110,7 +118,7 @@ void OwnSpaceState::set_dir_owner(std::uint64_t key, SwitchId owner) {
     store_->upsert(key).aux = static_cast<std::uint32_t>(owner) + 1;
     return;
   }
-  dir_->write(static_cast<RegisterIndex>(slot(key)), static_cast<std::uint64_t>(owner) + 1);
+  dir_->write(static_cast<RegisterIndex>(key), static_cast<std::uint64_t>(owner) + 1);
 }
 
 void OwnSpaceState::clear_dir_owner(std::uint64_t key) {
@@ -118,7 +126,7 @@ void OwnSpaceState::clear_dir_owner(std::uint64_t key) {
     if (store_->find(key) != nullptr) store_->upsert(key).aux = 0;
     return;
   }
-  dir_->write(static_cast<RegisterIndex>(slot(key)), 0);
+  dir_->write(static_cast<RegisterIndex>(key), 0);
 }
 
 std::vector<std::uint64_t> OwnSpaceState::dir_slots_owned_outside(

@@ -13,12 +13,13 @@
 //
 // SpaceKind::kSparse folds all four arrays into one ordered CoW index entry
 // per live key: value/version in the entry, the owned bit in flags, the
-// directory owner (+1) in aux. slot(key) == key there, and the scans
-// (live_slots / owned_slots / dir_slots_owned_outside) walk live entries in
-// key order instead of the full array.
+// directory owner (+1) in aux, and the scans (live_slots / owned_slots /
+// dir_slots_owned_outside) walk live entries in key order instead of the
+// full array. Either way a key is its own slot: ownership is per key.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -28,7 +29,7 @@
 
 namespace swish::shm {
 
-/// 64-bit finalizer used for OWN key -> slot hashing and home placement.
+/// 64-bit finalizer used for OWN home placement.
 std::uint64_t own_mix64(std::uint64_t h) noexcept;
 
 class OwnSpaceState {
@@ -37,9 +38,14 @@ class OwnSpaceState {
 
   [[nodiscard]] const SpaceConfig& config() const noexcept { return cfg_; }
 
-  /// Register slot of a key: direct-indexed when it fits, hashed otherwise.
-  [[nodiscard]] std::size_t slot(std::uint64_t key) const noexcept;
+  /// Any sparse key; dense keys below `size` (the per-key calls need one).
+  [[nodiscard]] bool addressable(std::uint64_t key) const noexcept {
+    return store_ != nullptr || key < cfg_.size;
+  }
 
+  /// Datapath read: nullopt when the key is not addressable or, sparse, has
+  /// no live entry (never written, or tombstoned).
+  [[nodiscard]] std::optional<std::uint64_t> read(std::uint64_t key) const;
   [[nodiscard]] std::uint64_t value(std::uint64_t key) const;
   [[nodiscard]] std::uint64_t version(std::uint64_t key) const;
 

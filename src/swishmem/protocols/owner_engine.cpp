@@ -24,6 +24,7 @@ OwnerEngine::OwnerEngine(EngineHost& host) : ProtocolEngine(host) {
 
 void OwnerEngine::add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) {
   (void)replicas;  // OWN spaces span the deployment; homes come from members()
+  check_servable(config);
   spaces_.emplace(config.id, std::make_unique<OwnSpaceState>(host_.sw(), config));
 }
 
@@ -140,16 +141,14 @@ ReadStatus OwnerEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
   auto it = spaces_.find(space);
   if (it == spaces_.end()) return ReadStatus::kMiss;
   ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, it->second->slot(key), host_.self());
-  value = it->second->value(key);
+  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  const std::optional<std::uint64_t> v = it->second->read(key);
+  if (!v) return ReadStatus::kMiss;
+  value = *v;
   return ReadStatus::kOk;
 }
 
 void OwnerEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) {
-  if (ops.empty()) {
-    if (release) release(std::move(output));
-    return;
-  }
   // The output releases when the last op of the batch has applied (each op
   // may wait on its own key's ownership migration).
   struct Batch {
@@ -176,7 +175,8 @@ void OwnerEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
 
 bool OwnerEngine::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
                          UpdateDone done) {
-  if (!spaces_.contains(space)) return false;
+  auto it = spaces_.find(space);
+  if (it == spaces_.end() || !it->second->addressable(key)) return false;
   QueuedOp q;
   q.is_update = true;
   q.delta = delta;
@@ -209,19 +209,22 @@ void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, Queue
   auto it = spaces_.find(space);
   if (it == spaces_.end()) return;
   OwnSpaceState& st = *it->second;
-  const std::uint64_t slot = st.slot(key);  // ownership is slot-granular
-  if (st.owned(slot)) {
-    apply_owned(st, space, slot, op);
+  if (!st.addressable(key)) {  // no register for the key: the write is dropped
+    if (op.completion) op.completion();
     return;
   }
-  const KeyRef ref{space, slot};
+  if (st.owned(key)) {
+    apply_owned(st, space, key, op);
+    return;
+  }
+  const KeyRef ref{space, key};
   auto pit = pending_acquires_.find(ref);
   if (pit == pending_acquires_.end()) {
-    begin_acquire(space, slot);
+    begin_acquire(space, key);
     // When this switch is its own home (or the whole path is local) the grant
     // installs synchronously inside begin_acquire.
-    if (st.owned(slot)) {
-      apply_owned(st, space, slot, op);
+    if (st.owned(key)) {
+      apply_owned(st, space, key, op);
       return;
     }
     pit = pending_acquires_.find(ref);
@@ -229,7 +232,7 @@ void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, Queue
   }
   if (pit->second.queue.size() >= host_.config().own_queue_limit) {
     ++stats_.queue_rejected;
-    host_.report_drop(telemetry::DropReason::kOwnQueueOverflow, slot);
+    host_.report_drop(telemetry::DropReason::kOwnQueueOverflow, key);
     return;  // dropped; the op's callbacks never fire
   }
   pit->second.queue.push_back(std::move(op));
@@ -285,7 +288,7 @@ void OwnerEngine::arm_acquire_retry(std::uint32_t space, std::uint64_t slot,
 
 void OwnerEngine::install_grant(const pkt::OwnGrant& msg) {
   auto sit = spaces_.find(msg.space);
-  if (sit == spaces_.end()) return;
+  if (sit == spaces_.end() || !sit->second->addressable(msg.key)) return;
   OwnSpaceState& st = *sit->second;
   auto pit = pending_acquires_.find(KeyRef{msg.space, msg.key});
   if (pit == pending_acquires_.end() || pit->second.req_id != msg.req_id) {
@@ -318,7 +321,7 @@ void OwnerEngine::grant_from_backup(OwnSpaceState& st, std::uint32_t space, std:
 
 void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
   auto sit = spaces_.find(msg.space);
-  if (sit == spaces_.end()) return;
+  if (sit == spaces_.end() || !sit->second->addressable(msg.key)) return;
   OwnSpaceState& st = *sit->second;
 
   if (msg.revoke) {
@@ -364,7 +367,7 @@ void OwnerEngine::on_own_request(const pkt::OwnRequest& msg) {
 
 void OwnerEngine::on_own_grant(const pkt::OwnGrant& msg) {
   auto sit = spaces_.find(msg.space);
-  if (sit == spaces_.end()) return;
+  if (sit == spaces_.end() || !sit->second->addressable(msg.key)) return;
   OwnSpaceState& st = *sit->second;
 
   // Home relay: an owner relinquished in response to our revoke. Fold the
@@ -441,7 +444,7 @@ void OwnerEngine::on_own_update(const pkt::OwnUpdate& msg) {
   bool merged_any = false;
   for (const auto& entry : msg.entries) {
     auto sit = spaces_.find(entry.space);
-    if (sit == spaces_.end()) continue;
+    if (sit == spaces_.end() || !sit->second->addressable(entry.key)) continue;
     OwnSpaceState& st = *sit->second;
     if (st.owned(entry.key)) continue;  // our owned copy outranks any backup
     if (entry.version > st.version(entry.key)) {
@@ -519,7 +522,7 @@ std::unique_ptr<SnapshotSource> OwnerEngine::snapshot_source(
 
 void OwnerEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   auto sit = spaces_.find(op.space);
-  if (sit == spaces_.end()) return;
+  if (sit == spaces_.end() || !sit->second->addressable(op.key)) return;
   OwnSpaceState& st = *sit->second;
   if (st.owned(op.key)) return;
   if (seq > st.version(op.key)) st.store(op.key, op.value, seq);

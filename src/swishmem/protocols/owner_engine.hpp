@@ -80,7 +80,7 @@ class OwnerEngine final : public ProtocolEngine {
   [[nodiscard]] bool owns(std::uint32_t space, std::uint64_t key) const;
 
  private:
-  using KeyRef = std::pair<std::uint32_t, std::uint64_t>;  ///< (space, slot)
+  using KeyRef = std::pair<std::uint32_t, std::uint64_t>;  ///< (space, key)
 
   /// One queued operation awaiting ownership.
   struct QueuedOp {

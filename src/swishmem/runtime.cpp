@@ -474,27 +474,12 @@ std::optional<std::uint64_t> ShmRuntime::read_lpm(std::uint32_t space, std::uint
   return engine->read_lpm(space, key);
 }
 
-void ShmRuntime::write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
+bool ShmRuntime::write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
                        std::function<void(pkt::Packet&&)> release) {
-  ProtocolEngine* engine = ops.empty() ? nullptr : engine_for_space(ops.front().space);
-  // Legacy behaviour: a chain write naming an undeclared space is still
-  // submitted (and times out against an empty chain) rather than dropped.
-  if (engine == nullptr) engine = &engine_for_class(ConsistencyClass::kSRO);
-  engine->write(std::move(ops), std::move(output), std::move(release));
-}
-
-bool ShmRuntime::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
-                        UpdateDone done) {
-  ProtocolEngine* engine = engine_for_space(space);
-  return engine != nullptr && engine->update(space, key, delta, std::move(done));
-}
-
-bool ShmRuntime::write_txn(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                           std::function<void(pkt::Packet&&)> release) {
   if (ops.empty()) return false;
   ProtocolEngine* engine = engine_for_space(ops.front().space);
   if (engine == nullptr) return false;
-  // One engine sequences the whole batch or the transaction is refused — a
+  // One engine sequences the whole batch or the write is refused — a
   // cross-engine batch has no single point of atomicity.
   for (const auto& op : ops) {
     if (engine_for_space(op.space) != engine) return false;
@@ -503,69 +488,10 @@ bool ShmRuntime::write_txn(std::vector<pkt::WriteOp> ops, pkt::Packet output,
   return true;
 }
 
-ReadStatus ShmRuntime::sro_read(pisa::PacketContext& ctx, std::uint32_t space, std::uint64_t key,
-                                std::uint64_t& value) {
-  return read(&ctx, space, key, value);
-}
-
-void ShmRuntime::sro_write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                           std::function<void(pkt::Packet&&)> release) {
-  write(std::move(ops), std::move(output), std::move(release));
-}
-
-// The legacy ewo_* wrappers dispatch by SPACE, not by class, so an NF keeps
-// working when its space is overridden to another engine (e.g. swish_sim's
-// --space NAME=own): EWO spaces take the fast local path, anything else goes
-// through the uniform read/write/update operations.
-
-namespace {
-
-EwoEngine* as_ewo(ProtocolEngine* engine) noexcept { return dynamic_cast<EwoEngine*>(engine); }
-
-}  // namespace
-
-std::uint64_t ShmRuntime::ewo_read(std::uint32_t space, std::uint64_t key) {
+bool ShmRuntime::update(std::uint32_t space, std::uint64_t key, std::int64_t delta,
+                        UpdateDone done) {
   ProtocolEngine* engine = engine_for_space(space);
-  if (auto* ewo = as_ewo(engine)) return ewo->local_read(space, key);
-  std::uint64_t value = 0;
-  if (engine != nullptr) engine->read(nullptr, space, key, value);
-  return value;
-}
-
-void ShmRuntime::ewo_write(std::uint32_t space, std::uint64_t key, std::uint64_t value) {
-  ProtocolEngine* engine = engine_for_space(space);
-  if (auto* ewo = as_ewo(engine)) {
-    ewo->local_write(space, key, value);
-  } else if (engine != nullptr) {
-    engine->write({{space, key, value}}, pkt::Packet{}, [](pkt::Packet&&) {});
-  }
-}
-
-std::uint64_t ShmRuntime::ewo_add(std::uint32_t space, std::uint64_t key, std::int64_t delta) {
-  ProtocolEngine* engine = engine_for_space(space);
-  if (auto* ewo = as_ewo(engine)) return ewo->add(space, key, delta);
-  if (engine == nullptr) return 0;
-  // Synchronous when this switch can apply locally (e.g. OWN owner); returns
-  // 0 while the op is deferred behind an ownership migration — the add still
-  // lands once the grant arrives.
-  auto result = std::make_shared<std::uint64_t>(0);
-  engine->update(space, key, delta, [result](std::uint64_t v) { *result = v; });
-  return *result;
-}
-
-std::uint64_t ShmRuntime::ewo_set_add(std::uint32_t space, std::uint64_t key,
-                                      std::uint64_t bits) {
-  ProtocolEngine* engine = engine_for_space(space);
-  if (auto* ewo = as_ewo(engine)) return ewo->set_add(space, key, bits);
-  if (engine == nullptr) return 0;
-  // Best-effort OR through the uniform API for non-CRDT engines.
-  std::uint64_t current = 0;
-  engine->read(nullptr, space, key, current);
-  const std::uint64_t merged = current | bits;
-  if (merged != current) {
-    engine->write({{space, key, merged}}, pkt::Packet{}, [](pkt::Packet&&) {});
-  }
-  return merged;
+  return engine != nullptr && engine->update(space, key, delta, std::move(done));
 }
 
 void ShmRuntime::on_read_redirect(const pkt::ReadRedirect& msg) {

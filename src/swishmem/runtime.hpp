@@ -144,52 +144,36 @@ class ShmRuntime final : public EngineHost {
   void set_space_chain(std::uint32_t space, const pkt::ChainConfig& config);
 
   // -- NF-facing register API (§5) ---------------------------------------------
+  // The same four calls serve every consistency class; the space's class
+  // picks the engine. An undeclared space reads as kMiss / nullopt and
+  // refuses write and update.
 
-  /// Read during packet processing, dispatched to the space's engine. On
-  /// kRedirected the runtime has already encapsulated ctx's packet to the
-  /// tail; the caller must return without emitting output.
+  /// Read, dispatched to the space's engine; `ctx` (nullptr outside packet
+  /// processing) enables redirection. On kRedirected the runtime has already
+  /// encapsulated ctx's packet to the tail; the caller must return without
+  /// emitting output.
   ReadStatus read(pisa::PacketContext* ctx, std::uint32_t space, std::uint64_t key,
                   std::uint64_t& value);
 
   /// Longest-prefix-match read against a sparse space holding packed
   /// prefixes (store::lpm_pack). Always local; nullopt when no prefix of the
-  /// key is present or the space does not support LPM.
+  /// key is present.
   [[nodiscard]] std::optional<std::uint64_t> read_lpm(std::uint32_t space, std::uint64_t key);
 
-  /// Write of one or more ops (all in spaces of one engine). `release` runs
-  /// on this switch when the write has committed per the space's consistency
-  /// class. The output packet may be empty when the mutating packet produces
-  /// no output.
-  void write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
+  /// Submits `ops` — possibly spanning several spaces of one engine — as ONE
+  /// atomic write; `release` runs on this switch once it has committed per
+  /// the class (the output may be empty). kCON puts the batch in one log
+  /// slot; chain classes send one write request. Returns false, performing
+  /// nothing, when `ops` is empty, names an undeclared space, or spans
+  /// engines.
+  bool write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
              std::function<void(pkt::Packet&&)> release);
 
   /// Atomic read-modify-write (counters / allocators), dispatched to the
-  /// space's engine. Returns false when the space (or its engine) does not
-  /// support updates; `done` receives the new value once applied — possibly
-  /// after an OWN ownership migration.
+  /// space's engine. Returns false when the space cannot count; `done` (may
+  /// be empty) receives the new value once applied — possibly after an OWN
+  /// ownership migration, so it must not capture the caller's stack.
   bool update(std::uint32_t space, std::uint64_t key, std::int64_t delta, UpdateDone done);
-
-  /// Multi-key packet transaction: submits `ops` — which may span several
-  /// spaces — as ONE atomic write. All ops must be served by the same engine;
-  /// returns false (performing nothing) when they span engines or name an
-  /// unknown space. Under kCON the batch occupies one consensus log slot and
-  /// is applied all-or-nothing on every replica, surviving coordinator
-  /// failure; chain classes apply the batch as one write request (atomic per
-  /// hop). `release` runs once the transaction has committed.
-  bool write_txn(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                 std::function<void(pkt::Packet&&)> release);
-
-  // Legacy class-named wrappers (kept for existing NFs/tests; they dispatch
-  // through the same engines as the uniform calls above).
-
-  ReadStatus sro_read(pisa::PacketContext& ctx, std::uint32_t space, std::uint64_t key,
-                      std::uint64_t& value);
-  void sro_write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
-                 std::function<void(pkt::Packet&&)> release);
-  std::uint64_t ewo_read(std::uint32_t space, std::uint64_t key);
-  void ewo_write(std::uint32_t space, std::uint64_t key, std::uint64_t value);
-  std::uint64_t ewo_add(std::uint32_t space, std::uint64_t key, std::int64_t delta);
-  std::uint64_t ewo_set_add(std::uint32_t space, std::uint64_t key, std::uint64_t bits);
 
   // -- Protocol ingress ----------------------------------------------------------
 

@@ -344,11 +344,15 @@ std::size_t EwoSpaceState::member_slot(SwitchId sw) const noexcept {
   return i;
 }
 
-std::uint64_t EwoSpaceState::read(std::uint64_t key) const {
+std::optional<std::uint64_t> EwoSpaceState::read(std::uint64_t key) const {
   if (store_) {
     const store::Entry* e = store_->find(key);
-    return e != nullptr ? e->value : 0;
+    if (e == nullptr || (cfg_.merge == MergePolicy::kLww && e->value == kTombstone)) {
+      return std::nullopt;
+    }
+    return e->value;
   }
+  if (key >= cfg_.size) return std::nullopt;
   const auto i = static_cast<RegisterIndex>(key);
   if (cfg_.merge == MergePolicy::kLww || cfg_.merge == MergePolicy::kGSet) {
     return values_->read(i);
@@ -403,7 +407,7 @@ std::uint64_t EwoSpaceState::add_local(std::uint64_t key, std::int64_t delta) {
     }
     neg_slots_[me]->add(i, static_cast<std::uint64_t>(-delta));
   }
-  return read(key);
+  return read(key).value_or(0);
 }
 
 std::uint64_t EwoSpaceState::set_add_local(std::uint64_t key, std::uint64_t bits) {
@@ -436,14 +440,13 @@ bool EwoSpaceState::merge(const pkt::EwoEntry& entry) {
     w.version = entry.version;
     return true;
   }
+  if (entry.key >= cfg_.size) return false;
   const auto i = static_cast<RegisterIndex>(entry.key);
   if (cfg_.merge == MergePolicy::kGSet) {
-    if (i >= values_->size()) return false;
     const std::uint64_t before = values_->read(i);
     return values_->merge_or(i, entry.value) != before;
   }
   if (cfg_.merge == MergePolicy::kLww) {
-    if (i >= values_->size()) return false;
     if (entry.version <= versions_->read(i)) return false;
     values_->write(i, entry.value);
     versions_->write(i, entry.version);
@@ -455,7 +458,7 @@ bool EwoSpaceState::merge(const pkt::EwoEntry& entry) {
   const std::size_t owner_slot = member_slot(owner);
   if (owner_slot == replicas_.size()) return false;
   const auto& slots = negative ? neg_slots_ : pos_slots_;
-  if (slots.empty() || i >= slots[owner_slot]->size()) return false;
+  if (slots.empty()) return false;
   const std::uint64_t before = slots[owner_slot]->read(i);
   return slots[owner_slot]->merge_max(i, entry.value) != before;
 }

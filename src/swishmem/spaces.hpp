@@ -28,8 +28,9 @@
 
 namespace swish::shm {
 
-/// Table-backed SRO spaces treat this value as "erase the key" (connection
-/// teardown in NAT / firewall / LB tables).
+/// Table-backed and sparse spaces treat this value as "erase the key"
+/// (connection teardown in NAT / firewall / LB tables): it reads back as
+/// ReadStatus::kMiss. A G-set cannot erase; the write ORs every bit in.
 inline constexpr std::uint64_t kTombstone = ~0ULL;
 
 class SroSpaceState {
@@ -126,8 +127,15 @@ class EwoSpaceState {
 
   [[nodiscard]] const SpaceConfig& config() const noexcept { return cfg_; }
 
-  /// Local read: LWW value, or the vector sum for counters (§6.2).
-  [[nodiscard]] std::uint64_t read(std::uint64_t key) const;
+  /// Local read: LWW value, or the vector sum for counters (§6.2). nullopt
+  /// when the key has no live entry: sparse keys never written (or, for
+  /// LWW, tombstoned), and dense keys outside [0, size).
+  [[nodiscard]] std::optional<std::uint64_t> read(std::uint64_t key) const;
+
+  /// Any sparse key; dense keys below `size`.
+  [[nodiscard]] bool addressable(std::uint64_t key) const noexcept {
+    return store_ != nullptr || key < cfg_.size;
+  }
 
   /// Longest-prefix match over store::lpm_pack()ed keys; sparse LWW/G-set
   /// spaces only (nullopt elsewhere, or when no prefix matches).

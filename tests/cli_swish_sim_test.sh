@@ -10,6 +10,7 @@
 #   5. Sharding: impossible --shards values exit 2 with a diagnostic,
 #      --shards 1 is byte-identical to the flagless run, and same-seed
 #      multi-shard runs are byte-identical to each other.
+#   6. Space overrides a class cannot serve exit 2; servable ones do work.
 set -u
 
 BIN="${1:?usage: cli_swish_sim_test.sh <path-to-swish_sim>}"
@@ -278,6 +279,32 @@ if ! "$BIN" --nf lb --switches 3 --duration-ms 60 --seed 11 --quiet \
   echo "FAIL: quorum-preserving kill/revive schedule exited nonzero"
   fail=1
 fi
+
+# Space overrides a class cannot serve are refused at install with exit 2
+# and a diagnostic naming the space — never an abort (134) or a run that
+# silently computes nothing (0): flow tables on dense EWO/OWN registers,
+# counters on classes without update().
+expect_error2 "nat.translation" --nf nat --switches 3 --duration-ms 40 --space nat.translation=ewo
+expect_error2 "nat.translation" --nf nat --switches 3 --duration-ms 40 --space nat.translation=own
+expect_error2 "fw.connections"  --nf firewall --switches 3 --duration-ms 40 --space fw.connections=ewo
+expect_error2 "lb.conn_to_dip"  --nf lb --switches 3 --duration-ms 40 --space lb.conn_to_dip=ewo
+expect_error2 "rl.user_bytes"   --nf ratelimiter --switches 3 --duration-ms 40 --space rl.user_bytes=sro
+expect_error2 "ddos.cms"        --nf ddos --switches 3 --duration-ms 40 --space ddos.cms=con
+# ...while the sparse layouts of the same classes serve the NAT table: the
+# run exits 0 and the engine actually installs mappings.
+for cls in own ewo; do
+  rc=0
+  "$BIN" --nf nat --switches 3 --duration-ms 40 --seed 11 \
+    --space nat.translation=$cls:sparse >"$TMP/out" 2>"$TMP/err" || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "FAIL: --space nat.translation=$cls:sparse exited $rc (want 0)"
+    fail=1
+  elif ! grep -qE "^$cls +\| local_writes +\| [1-9]" "$TMP/out"; then
+    echo "FAIL: --space nat.translation=$cls:sparse installed no mappings"
+    grep -E "^$cls " "$TMP/out" | head -5
+    fail=1
+  fi
+done
 
 # INT telemetry contract. Malformed flag values exit 2 with usage, never a
 # throw; the hop cap must fit the on-wire u8.

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "nf/common.hpp"
 #include "swishmem/fabric.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/span.hpp"
@@ -118,7 +119,7 @@ FabricConfig mesh(std::size_t n, std::uint64_t seed = 1, double loss = 0.0) {
 
 TEST(CausalTrace, ChainWriteLinksOriginToEveryReplica) {
   Rig rig(mesh(4), {sro_space()}, /*span_sample=*/1);
-  rig.fabric.runtime(0).sro_write({{kReg, 3, 42}}, udp(1), [](pkt::Packet&&) {});
+  rig.fabric.runtime(0).write({{kReg, 3, 42}}, udp(1), [](pkt::Packet&&) {});
   rig.fabric.run_for(100 * kMs);
 
   // Exactly one root, and the stitched trace spans every chain member.
@@ -151,7 +152,7 @@ TEST(CausalTrace, ChainRetriesUnderLossReuseOriginalSpan) {
   Rig rig(mesh(3, /*seed=*/7, /*loss=*/0.4), {sro_space()}, /*span_sample=*/1);
   const std::size_t kWrites = 6;
   for (std::size_t i = 0; i < kWrites; ++i) {
-    rig.fabric.runtime(0).sro_write({{kReg, i, 100 + i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(0).write({{kReg, i, 100 + i}}, udp(1), [](pkt::Packet&&) {});
   }
   rig.fabric.run_for(400 * kMs);
 
@@ -189,8 +190,8 @@ TEST(CausalTrace, ChainRetriesUnderLossReuseOriginalSpan) {
 std::string perfetto_of_run(std::uint64_t seed) {
   Rig rig(mesh(3, seed, /*loss=*/0.25), {sro_space(), ewo_space()}, /*span_sample=*/1);
   for (std::size_t i = 0; i < 4; ++i) {
-    rig.fabric.runtime(i % 3).sro_write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
-    rig.fabric.runtime(i % 3).ewo_write(kCtr, i, 7 * i + 1);
+    rig.fabric.runtime(i % 3).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(i % 3).write({{kCtr, i, 7 * i + 1}}, pkt::Packet{}, nullptr);
   }
   rig.fabric.run_for(150 * kMs);
   std::ostringstream os;
@@ -208,7 +209,7 @@ TEST(CausalTrace, PerfettoExportDeterministicAcrossIdenticalRuns) {
 
 TEST(CausalTrace, PerfettoRoundTripsThroughReader) {
   Rig rig(mesh(3), {sro_space()}, /*span_sample=*/1);
-  rig.fabric.runtime(1).sro_write({{kReg, 2, 9}}, udp(1), [](pkt::Packet&&) {});
+  rig.fabric.runtime(1).write({{kReg, 2, 9}}, udp(1), [](pkt::Packet&&) {});
   rig.fabric.run_for(100 * kMs);
   ASSERT_FALSE(rig.spans().empty());
 
@@ -237,7 +238,7 @@ TEST(CausalTrace, PerfettoRoundTripsThroughReader) {
 TEST(CausalTrace, DisabledRecorderRecordsNothing) {
   Rig rig(mesh(3), {sro_space()}, /*span_sample=*/0);
   for (std::size_t i = 0; i < 5; ++i) {
-    rig.fabric.runtime(0).sro_write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(0).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
   }
   rig.fabric.run_for(100 * kMs);
   EXPECT_TRUE(rig.spans().empty());
@@ -250,7 +251,7 @@ TEST(CausalTrace, SampledOutWritesRecordNothing) {
   Rig rig(mesh(3), {sro_space()}, /*span_sample=*/3);
   const std::size_t kWrites = 6;
   for (std::size_t i = 0; i < kWrites; ++i) {
-    rig.fabric.runtime(0).sro_write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
+    rig.fabric.runtime(0).write({{kReg, i, i}}, udp(1), [](pkt::Packet&&) {});
   }
   rig.fabric.run_for(100 * kMs);
 
@@ -277,13 +278,13 @@ TEST(CausalTrace, SampledOutWritesRecordNothing) {
 
 TEST(CausalTrace, EwoMirrorLagAndStaleReads) {
   Rig rig(mesh(2), {ewo_space()}, /*span_sample=*/1);
-  rig.fabric.runtime(0).ewo_write(kCtr, 5, 1234);
+  rig.fabric.runtime(0).write({{kCtr, 5, 1234}}, pkt::Packet{}, nullptr);
 
   // Before the mirror update reaches switch 1, its read is stale.
-  EXPECT_EQ(rig.fabric.runtime(1).ewo_read(kCtr, 5), 0u);
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(1), kCtr, 5), 0u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.stale_reads"), 1u);
   // The origin always sees its own write: not stale.
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 5), 1234u);
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(0), kCtr, 5), 1234u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.stale_reads"), 1u);
 
   rig.fabric.run_for(50 * kMs);
@@ -293,7 +294,7 @@ TEST(CausalTrace, EwoMirrorLagAndStaleReads) {
   EXPECT_EQ(rig.metric_count("lag.t.ctr.full_propagation_ns"), 1u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.inflight"), 0u);
   // After the apply, reads at the replica are no longer stale.
-  EXPECT_EQ(rig.fabric.runtime(1).ewo_read(kCtr, 5), 1234u);
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(1), kCtr, 5), 1234u);
   EXPECT_EQ(rig.metric_count("lag.t.ctr.stale_reads"), 1u);
 
   // The sampled write's trace crosses to the replica's apply.

@@ -45,8 +45,8 @@ class Driver : public NfApp {
     } else if (port >= 4000 && port < 5000) {
       const std::uint64_t key = port - 4000;
       std::vector<pkt::WriteOp> ops{{kSpaceA, key, src}, {kSpaceB, key, src + 1}};
-      txn_accepted = rt.write_txn(std::move(ops), std::move(ctx.packet),
-                                  [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      txn_accepted = rt.write(std::move(ops), std::move(ctx.packet),
+                              [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     }
   }
   std::uint64_t last_read = 0;
@@ -278,11 +278,11 @@ TEST(Consensus, CrossEngineTransactionRefused) {
   fabric.run_for(20 * kMs);
   std::vector<pkt::WriteOp> ops{{kSpaceA, 1, 2}, {kSpaceB, 1, 3}};
   bool released = false;
-  EXPECT_FALSE(fabric.runtime(0).write_txn(std::move(ops), pkt::Packet{},
-                                           [&](pkt::Packet&&) { released = true; }));
+  EXPECT_FALSE(fabric.runtime(0).write(std::move(ops), pkt::Packet{},
+                                       [&](pkt::Packet&&) { released = true; }));
   fabric.run_for(20 * kMs);
   EXPECT_FALSE(released);
-  EXPECT_FALSE(fabric.runtime(0).write_txn({}, pkt::Packet{}, [](pkt::Packet&&) {}));
+  EXPECT_FALSE(fabric.runtime(0).write({}, pkt::Packet{}, [](pkt::Packet&&) {}));
 }
 
 TEST(Consensus, StaleMinorityAcceptNeverAppliesOnCommitAdvance) {

@@ -39,7 +39,7 @@ struct Rig {
   }
 
   void write(std::size_t from, std::uint64_t key, std::uint64_t value) {
-    fabric.runtime(from).sro_write({{kPart, key, value}}, pkt::Packet{}, nullptr);
+    fabric.runtime(from).write({{kPart, key, value}}, pkt::Packet{}, nullptr);
   }
 };
 

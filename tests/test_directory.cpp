@@ -19,12 +19,12 @@ class Driver : public NfApp {
     const std::uint16_t port = ctx.parsed->udp->dst_port;
     pisa::Switch* sw = &ctx.sw;
     if (port >= 1000 && port < 2000) {
-      rt.sro_write({{kPart, static_cast<std::uint64_t>(port - 1000),
-                     ctx.parsed->udp->src_port}},
-                   std::move(ctx.packet), [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write({{kPart, static_cast<std::uint64_t>(port - 1000),
+                 ctx.parsed->udp->src_port}},
+               std::move(ctx.packet), [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 2000 && port < 3000) {
       std::uint64_t value = 0;
-      const auto st = rt.sro_read(ctx, kPart, port - 2000, value);
+      const auto st = rt.read(&ctx, kPart, port - 2000, value);
       if (st == ReadStatus::kOk) {
         last_read = value;
         ++reads_ok;
@@ -199,9 +199,9 @@ TEST(Directory, MigrationUnderLossStillCompletes) {
   fabric.install(nullptr);
   fabric.start();
   for (int k = 0; k < 10; ++k) {
-    fabric.runtime(0).sro_write({{kPart, static_cast<std::uint64_t>(k),
-                                  static_cast<std::uint64_t>(k + 500)}},
-                                pkt::Packet{}, nullptr);
+    fabric.runtime(0).write({{kPart, static_cast<std::uint64_t>(k),
+                              static_cast<std::uint64_t>(k + 500)}},
+                            pkt::Packet{}, nullptr);
   }
   fabric.run_for(1 * kSec);
   TimeNs migrated_at = -1;
@@ -250,8 +250,8 @@ TEST(Directory, FailureOfSpaceReplicaRepairsSpaceChain) {
   EXPECT_EQ(fabric.runtime(0).chain_for(kPart).chain, (std::vector<SwitchId>{1, 3}));
   // Writes to the space still commit on the surviving replicas.
   bool committed = false;
-  fabric.runtime(3).sro_write({{kPart, 7, 99}}, pkt::Packet{},
-                              [&](pkt::Packet&&) { committed = true; });
+  fabric.runtime(3).write({{kPart, 7, 99}}, pkt::Packet{},
+                          [&](pkt::Packet&&) { committed = true; });
   fabric.run_for(300 * kMs);
   EXPECT_TRUE(committed);
   EXPECT_EQ(fabric.runtime(0).sro_space(kPart)->read(7).value(), 99u);

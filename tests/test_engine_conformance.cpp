@@ -77,7 +77,8 @@ struct Rig {
   std::vector<Driver*> drivers;
   std::uint64_t delivered = 0;
 
-  explicit Rig(FabricConfig cfg, Variant v, MergePolicy merge = MergePolicy::kLww)
+  explicit Rig(FabricConfig cfg, Variant v, MergePolicy merge = MergePolicy::kLww,
+               bool table_backed = false)
       : fabric(cfg) {
     SpaceConfig sp;
     sp.id = kSpace;
@@ -86,6 +87,7 @@ struct Rig {
     sp.kind = v.kind;
     sp.size = 256;
     sp.merge = merge;
+    sp.table_backed = table_backed;
     fabric.add_space(sp);
     fabric.install([this]() {
       auto d = std::make_unique<Driver>();
@@ -187,25 +189,67 @@ TEST_P(EngineConformance, ReadOnWriterIsFresh) {
 }
 
 TEST_P(EngineConformance, UpdateSupportMatchesClassContract) {
-  // Atomic fetch-add is an EWO/OWN capability; the chain classes reject it
-  // (multi-op chain writes are the SRO/ERO mutation primitive).
-  const bool expect_supported = GetParam().cls == ConsistencyClass::kEWO ||
-                                GetParam().cls == ConsistencyClass::kOWN;
-  if (GetParam().kind == SpaceKind::kSparse && GetParam().cls == ConsistencyClass::kEWO) {
-    // Counter CRDTs keep per-replica vectors in dense registers; the sparse
-    // layout supports LWW and G-set merges only, and says so loudly.
+  // Atomic fetch-add is an EWO/OWN capability. A counter space on a class
+  // without update() (the chain classes and CON, whose mutation primitive is
+  // the multi-op write) is refused at install, and so is a sparse EWO
+  // counter: its per-replica vectors live in dense registers.
+  const ConsistencyClass cls = GetParam().cls;
+  const bool supported = cls == ConsistencyClass::kOWN ||
+                         (cls == ConsistencyClass::kEWO && GetParam().kind == SpaceKind::kDense);
+  if (!supported) {
     EXPECT_THROW(Rig(cfg4(), GetParam(), MergePolicy::kPNCounter), std::invalid_argument);
     return;
   }
-  // EWO counters require a counter merge policy (kLww spaces reject add).
   Rig rig(cfg4(), GetParam(), MergePolicy::kPNCounter);
   for (int n = 0; n < 3; ++n) rig.fabric.sw(0).inject(udp(0, 3009));
   rig.fabric.run_for(50 * kMs);
-  EXPECT_EQ(rig.drivers[0]->update_accepted, expect_supported);
-  if (expect_supported) {
-    EXPECT_EQ(rig.drivers[0]->update_results, (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_EQ(stored(rig.fabric.runtime(0), GetParam().cls, 9).value_or(~0ull), 3u);
+  EXPECT_TRUE(rig.drivers[0]->update_accepted);
+  EXPECT_EQ(rig.drivers[0]->update_results, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(stored(rig.fabric.runtime(0), cls, 9).value_or(~0ull), 3u);
+}
+
+TEST_P(EngineConformance, ReadOfAbsentKeyIsMiss) {
+  // One miss rule for every class: kMiss exactly when the storage can
+  // represent absence (sparse, or a dense table) and the key has no live
+  // entry — never written, or tombstoned. Dense registers read 0 instead.
+  const auto expect_miss_rule = [](Rig& rig, bool can_be_absent) {
+    ShmRuntime& rt = rig.fabric.runtime(1);
+    rt.write({{kSpace, 6, 33}}, pkt::Packet{}, nullptr);
+    rig.fabric.run_for(50 * kMs);
+    std::uint64_t value = 5;
+    EXPECT_EQ(rt.read(nullptr, kSpace, 4, value),
+              can_be_absent ? ReadStatus::kMiss : ReadStatus::kOk)
+        << "never-written key";
+    EXPECT_EQ(value, can_be_absent ? 5u : 0u);  // untouched on a miss
+    ASSERT_EQ(rt.read(nullptr, kSpace, 6, value), ReadStatus::kOk);
+    EXPECT_EQ(value, 33u);
+    rt.write({{kSpace, 6, kTombstone}}, pkt::Packet{}, nullptr);
+    rig.fabric.run_for(50 * kMs);
+    EXPECT_EQ(rt.read(nullptr, kSpace, 6, value),
+              can_be_absent ? ReadStatus::kMiss : ReadStatus::kOk)
+        << "tombstoned key";
+    if (can_be_absent) return;
+    // A dense register space has no register past `size`: the key reads as
+    // a miss, writes and updates of it are dropped, and nothing throws.
+    const std::uint64_t far = 1u << 20;
+    EXPECT_EQ(rt.read(nullptr, kSpace, far, value), ReadStatus::kMiss);
+    EXPECT_FALSE(rt.update(kSpace, far, 1, nullptr));
+    EXPECT_TRUE(rt.write({{kSpace, far, 1}}, pkt::Packet{}, nullptr));
+    rig.fabric.run_for(50 * kMs);
+    EXPECT_EQ(rt.read(nullptr, kSpace, far, value), ReadStatus::kMiss);
+  };
+  Rig rig(cfg4(), GetParam());
+  expect_miss_rule(rig, /*can_be_absent=*/GetParam().kind == SpaceKind::kSparse);
+  if (GetParam().kind == SpaceKind::kSparse) return;
+  // Dense table-backed spaces hold hashed flow ids: the chain classes and
+  // CON keep them in exact-match tables; EWO and OWN registers cannot.
+  if (GetParam().cls == ConsistencyClass::kEWO || GetParam().cls == ConsistencyClass::kOWN) {
+    EXPECT_THROW(Rig(cfg4(), GetParam(), MergePolicy::kLww, /*table_backed=*/true),
+                 std::invalid_argument);
+    return;
   }
+  Rig table(cfg4(), GetParam(), MergePolicy::kLww, /*table_backed=*/true);
+  expect_miss_rule(table, /*can_be_absent=*/true);
 }
 
 TEST_P(EngineConformance, WritesStillCommitAfterReplicaFailure) {

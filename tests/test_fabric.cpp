@@ -23,11 +23,11 @@ class Driver : public NfApp {
     const std::uint16_t port = ctx.parsed->udp->dst_port;
     pisa::Switch* sw = &ctx.sw;
     if (port == 1111) {
-      rt.ewo_add(kCtr, 0, 1);
+      rt.update(kCtr, 0, 1, nullptr);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (port == 2222) {
-      rt.sro_write({{kReg, 1, 42}}, std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write({{kReg, 1, 42}}, std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     }
   }
 };
@@ -81,7 +81,7 @@ TEST_P(TopologySweep, BothProtocolsWorkOnEveryTopology) {
   fabric.run_for(200 * kMs);
 
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(kCtr, 0), 8u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(fabric.runtime(i), kCtr, 0), 8u) << "switch " << i;
     EXPECT_EQ(fabric.runtime(i).sro_space(kReg)->read(1).value(), 42u) << "switch " << i;
   }
   EXPECT_EQ(delivered, 9u);

@@ -3,6 +3,7 @@
 // robustness, and full recovery via the tail's snapshot stream.
 #include <gtest/gtest.h>
 
+#include "nf/common.hpp"
 #include "swishmem/fabric.hpp"
 
 namespace swish::shm {
@@ -20,10 +21,10 @@ class Driver : public NfApp {
     if (port >= 1000 && port < 2000) {
       std::vector<pkt::WriteOp> ops{
           {kSpace, static_cast<std::uint64_t>(port - 1000), ctx.parsed->udp->src_port}};
-      rt.sro_write(std::move(ops), std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write(std::move(ops), std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 3000 && port < 4000) {
-      rt.ewo_add(kCtr, port - 3000, 1);
+      rt.update(kCtr, port - 3000, 1, nullptr);
       ctx.sw.deliver(std::move(ctx.packet));
     }
   }
@@ -156,7 +157,7 @@ TEST(Failover, EwoCountersSurviveFailureOfNonWriter) {
   rig.fabric.run_for(200 * kMs);
   for (std::size_t i = 0; i < 4; ++i) {
     if (i == 2) continue;
-    EXPECT_EQ(rig.fabric.runtime(i).ewo_read(kCtr, 1), 8u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(rig.fabric.runtime(i), kCtr, 1), 8u) << "switch " << i;
   }
 }
 
@@ -173,7 +174,7 @@ TEST(Failover, EwoGossipSpreadsDeadSwitchsCounts) {
   rig.fabric.run_for(300 * kMs);
   for (std::size_t i = 0; i < 4; ++i) {
     if (i == 2) continue;
-    EXPECT_EQ(rig.fabric.runtime(i).ewo_read(kCtr, 3), 5u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(rig.fabric.runtime(i), kCtr, 3), 5u) << "switch " << i;
   }
 }
 
@@ -259,10 +260,10 @@ TEST(Recovery, EwoReplacementRefilledByPeriodicSync) {
   rig.fabric.kill_switch(0);
   rig.fabric.run_for(100 * kMs);
   rig.fabric.revive_switch(0);
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 5), 0u);  // boots empty
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(0), kCtr, 5), 0u);  // boots empty
   rig.fabric.run_for(300 * kMs);
   // Gossip restored everything, including switch 0's own pre-crash slot.
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 5), 9u);
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(0), kCtr, 5), 9u);
 }
 
 TEST(Recovery, ErasedConnectionsStayErasedThroughSnapshotStream) {
@@ -283,7 +284,7 @@ TEST(Recovery, ErasedConnectionsStayErasedThroughSnapshotStream) {
   fabric.install(nullptr);
   fabric.start();
   auto write = [&](std::uint64_t key, std::uint64_t value) {
-    fabric.runtime(0).sro_write({{kSpace, key, value}}, pkt::Packet{}, nullptr);
+    fabric.runtime(0).write({{kSpace, key, value}}, pkt::Packet{}, nullptr);
   };
 
   fabric.run_for(50 * kMs);

@@ -91,11 +91,11 @@ TEST(GSet, RuntimePropagatesAcrossFabric) {
   fabric.add_space(gset_cfg());
   fabric.install(nullptr);
   fabric.start();
-  fabric.runtime(0).ewo_set_add(3, 5, 0b01);
-  fabric.runtime(2).ewo_set_add(3, 5, 0b10);
+  fabric.runtime(0).write({{3, 5, 0b01}}, pkt::Packet{}, nullptr);
+  fabric.runtime(2).write({{3, 5, 0b10}}, pkt::Packet{}, nullptr);
   fabric.run_for(50 * kMs);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(3, 5), 0b11u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(fabric.runtime(i), 3, 5), 0b11u) << "switch " << i;
   }
 }
 
@@ -172,10 +172,12 @@ TEST(Lww, SameInstantWritesStillConverge) {
   fabric.start();
   // Burst of writes at one switch within a single simulated instant: versions
   // must stay strictly increasing so the final value propagates.
-  for (int i = 1; i <= 50; ++i) fabric.runtime(0).ewo_write(4, 0, static_cast<std::uint64_t>(i));
+  for (int i = 1; i <= 50; ++i) {
+    fabric.runtime(0).write({{4, 0, static_cast<std::uint64_t>(i)}}, pkt::Packet{}, nullptr);
+  }
   fabric.run_for(100 * kMs);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(4, 0), 50u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(fabric.runtime(i), 4, 0), 50u) << "switch " << i;
   }
 }
 
@@ -202,7 +204,7 @@ class LinDriver : public NfApp {
     auto stamp = workload::Stamp::decode(ctx.packet.l4_payload(*ctx.parsed));
     if (!stamp) return;
     std::uint64_t value = 0;
-    const auto st = rt.sro_read(ctx, kRegSpace, 0, value);
+    const auto st = rt.read(&ctx, kRegSpace, 0, value);
     if (st == ReadStatus::kRedirected) return;  // completes at the tail
     auto& rec = (*log_)[stamp->flow_id];
     rec.completed = ctx.sw.simulator().now();
@@ -237,10 +239,10 @@ TEST(SroLinearizability, ReadsReturnAtomicRegisterValues) {
     if (k > 30) return;
     write_intervals.push_back({fabric.simulator().now(), -1});
     auto& rt = fabric.runtime(k % 4);
-    rt.sro_write({{kRegSpace, 0, k}}, pkt::Packet{}, [&, k](pkt::Packet&&) {
-      write_intervals[k - 1].second = fabric.simulator().now();
-      fabric.simulator().schedule_after(500 * kUs, [&, k]() { issue_write(k + 1); });
-    });
+    rt.write({{kRegSpace, 0, k}}, pkt::Packet{}, [&, k](pkt::Packet&&) {
+  write_intervals[k - 1].second = fabric.simulator().now();
+  fabric.simulator().schedule_after(500 * kUs, [&, k]() { issue_write(k + 1); });
+});
   };
   fabric.simulator().schedule_after(1 * kMs, [&]() { issue_write(1); });
 
@@ -334,12 +336,12 @@ TEST(Chaos, RandomKillsPreserveAgreementAndCommittedWrites) {
     // SRO write with a unique key; record commitment on ack.
     const std::uint64_t key = next_key++;
     const std::uint64_t value = key * 7 + 1;
-    fabric.runtime(w).sro_write({{6, key, value}}, pkt::Packet{},
-                                [&committed, key, value](pkt::Packet&&) {
-                                  committed[key] = value;
-                                });
+    fabric.runtime(w).write({{6, key, value}}, pkt::Packet{},
+                            [&committed, key, value](pkt::Packet&&) {
+                              committed[key] = value;
+                            });
     // EWO increment.
-    fabric.runtime(w).ewo_add(7, 0, 1);
+    fabric.runtime(w).update(7, 0, 1, nullptr);
     ++ctr_increments_total;
     if (w != 2) ++ctr_increments_by_survivors;
   });
@@ -359,9 +361,9 @@ TEST(Chaos, RandomKillsPreserveAgreementAndCommittedWrites) {
     }
   }
   // Invariant 2: all replicas agree on the counter, bounded by ground truth.
-  const auto v0 = fabric.runtime(0).ewo_read(7, 0);
+  const auto v0 = nf::read_value(fabric.runtime(0), 7, 0);
   for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(7, 0), v0) << "switch " << i;
+    EXPECT_EQ(nf::read_value(fabric.runtime(i), 7, 0), v0) << "switch " << i;
   }
   EXPECT_GE(v0, ctr_increments_by_survivors);  // survivors' counts never lost
   EXPECT_LE(v0, ctr_increments_total);

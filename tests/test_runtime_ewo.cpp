@@ -2,6 +2,7 @@
 // loss, LWW vs CRDT convergence, clock-skew behaviour.
 #include <gtest/gtest.h>
 
+#include "nf/common.hpp"
 #include "swishmem/fabric.hpp"
 
 namespace swish::shm {
@@ -17,9 +18,10 @@ class Driver : public NfApp {
     if (!ctx.parsed || !ctx.parsed->udp) return;
     const std::uint16_t port = ctx.parsed->udp->dst_port;
     if (port >= 1000 && port < 2000) {
-      rt.ewo_add(kCtr, port - 1000, 1);
+      rt.update(kCtr, port - 1000, 1, nullptr);
     } else if (port >= 2000 && port < 3000) {
-      rt.ewo_write(kLww, port - 2000, ctx.parsed->udp->src_port);
+      rt.write({{kLww, static_cast<std::uint64_t>(port - 2000), ctx.parsed->udp->src_port}},
+               pkt::Packet{}, nullptr);
     }
     ctx.sw.deliver(std::move(ctx.packet));
   }
@@ -66,7 +68,7 @@ struct Rig {
 
   bool counters_converged(std::uint64_t key, std::uint64_t expect) {
     for (std::size_t i = 0; i < fabric.size(); ++i) {
-      if (fabric.runtime(i).ewo_read(kCtr, key) != expect) return false;
+      if (nf::read_value(fabric.runtime(i), kCtr, key) != expect) return false;
     }
     return true;
   }
@@ -82,7 +84,7 @@ TEST(Ewo, LocalWriteVisibleImmediately) {
   Rig rig(cfg3());
   rig.fabric.sw(0).inject(udp(0, 1000));
   rig.fabric.run_for(1);  // processing happens synchronously at injection
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 0), 1u);
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(0), kCtr, 0), 1u);
 }
 
 TEST(Ewo, MirrorPropagatesWithoutPeriodicSync) {
@@ -107,7 +109,7 @@ TEST(Ewo, SyncAloneConvergesWhenMirrorsDisabled) {
   Rig rig(cfg, /*mirror_batch=*/1, /*mirror=*/false);
   for (int i = 0; i < 4; ++i) rig.fabric.sw(1).inject(udp(0, 1001));
   // Mirrors disabled: before a sync round, remote replicas are behind.
-  EXPECT_EQ(rig.fabric.runtime(0).ewo_read(kCtr, 1), 0u);
+  EXPECT_EQ(nf::read_value(rig.fabric.runtime(0), kCtr, 1), 0u);
   rig.fabric.run_for(30 * kMs);
   EXPECT_TRUE(rig.counters_converged(1, 4));
   EXPECT_GT(rig.fabric.runtime(1).stats().sync_rounds, 0u);
@@ -130,7 +132,7 @@ TEST(Ewo, LwwConvergesToNewestWrite) {
   rig.fabric.sw(2).inject(udp(20, 2004));  // strictly later timestamp
   rig.fabric.run_for(50 * kMs);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(rig.fabric.runtime(i).ewo_read(kLww, 4), 20u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(rig.fabric.runtime(i), kLww, 4), 20u) << "switch " << i;
   }
 }
 
@@ -141,10 +143,10 @@ TEST(Ewo, LwwConcurrentWritesAgreeOnOneWinner) {
   rig.fabric.sw(0).inject(udp(10, 2009));
   rig.fabric.sw(2).inject(udp(20, 2009));
   rig.fabric.run_for(100 * kMs);
-  const auto v = rig.fabric.runtime(0).ewo_read(kLww, 9);
+  const auto v = nf::read_value(rig.fabric.runtime(0), kLww, 9);
   EXPECT_TRUE(v == 10 || v == 20);
   for (std::size_t i = 1; i < 3; ++i) {
-    EXPECT_EQ(rig.fabric.runtime(i).ewo_read(kLww, 9), v);
+    EXPECT_EQ(nf::read_value(rig.fabric.runtime(i), kLww, 9), v);
   }
 }
 

@@ -42,8 +42,8 @@ TEST(RuntimeMisc, WriteFailsAfterMaxRetriesWhenHeadUnreachable) {
   fabric.kill_switch(0);  // the head, permanently
 
   bool released = false;
-  fabric.runtime(2).sro_write({{kSpace, 1, 9}}, pkt::Packet{},
-                              [&](pkt::Packet&&) { released = true; });
+  fabric.runtime(2).write({{kSpace, 1, 9}}, pkt::Packet{},
+                          [&](pkt::Packet&&) { released = true; });
   fabric.run_for(500 * kMs);
   EXPECT_FALSE(released);
   EXPECT_EQ(fabric.runtime(2).stats().writes_failed, 1u);
@@ -59,8 +59,8 @@ TEST(RuntimeMisc, CpBufferLimitRejectsExcessWrites) {
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
   for (int i = 0; i < 5; ++i) {
-    fabric.runtime(1).sro_write({{kSpace, static_cast<std::uint64_t>(i), 1}}, pkt::Packet{},
-                                nullptr);
+    fabric.runtime(1).write({{kSpace, static_cast<std::uint64_t>(i), 1}}, pkt::Packet{},
+                            nullptr);
   }
   EXPECT_EQ(fabric.runtime(1).stats().writes_rejected, 3u);
   EXPECT_EQ(fabric.runtime(1).cp_buffered_packets(), 2u);
@@ -92,10 +92,16 @@ TEST(RuntimeMisc, UnknownSpacesAreSafeNoOps) {
   cfg.num_switches = 2;
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
-  EXPECT_EQ(fabric.runtime(0).ewo_read(999, 0), 0u);
-  EXPECT_EQ(fabric.runtime(0).ewo_add(999, 0, 1), 0u);
-  EXPECT_EQ(fabric.runtime(0).ewo_set_add(999, 0, 1), 0u);
-  fabric.runtime(0).ewo_write(999, 0, 1);  // no crash
+  ShmRuntime& rt = fabric.runtime(0);
+  std::uint64_t value = 7;
+  EXPECT_EQ(rt.read(nullptr, 999, 0, value), ReadStatus::kMiss);
+  EXPECT_EQ(value, 7u);  // untouched on a miss
+  EXPECT_FALSE(rt.read_lpm(999, 0).has_value());
+  EXPECT_FALSE(rt.update(999, 0, 1, nullptr));
+  // A write naming an undeclared space is refused whole.
+  EXPECT_FALSE(rt.write({{999, 0, 1}}, pkt::Packet{}, nullptr));
+  EXPECT_FALSE(rt.write({{kSpace, 0, 1}, {999, 0, 1}}, pkt::Packet{}, nullptr));
+  EXPECT_FALSE(rt.write({}, pkt::Packet{}, nullptr));
   EXPECT_EQ(fabric.runtime(0).sro_space(999), nullptr);
   EXPECT_EQ(fabric.runtime(0).ewo_space(999), nullptr);
   EXPECT_FALSE(fabric.runtime(0).hosts_space(999));
@@ -107,8 +113,8 @@ TEST(RuntimeMisc, ProtocolByteCountersAccount) {
   cfg.num_switches = 3;
   std::unique_ptr<Fabric> holder;
   Fabric& fabric = *make(holder, cfg);
-  fabric.runtime(0).sro_write({{kSpace, 1, 5}}, pkt::Packet{}, nullptr);
-  fabric.runtime(0).ewo_add(kSpace + 1, 0, 1);
+  fabric.runtime(0).write({{kSpace, 1, 5}}, pkt::Packet{}, nullptr);
+  fabric.runtime(0).update(kSpace + 1, 0, 1, nullptr);
   fabric.run_for(100 * kMs);
   EXPECT_GT(fabric.runtime(0).stats().bytes_write_path, 0u);
   EXPECT_GT(fabric.runtime(0).stats().bytes_ewo, 0u);
@@ -146,8 +152,8 @@ TEST(RuntimeMisc, WriterReleaseRunsOnWriterSwitch) {
   // timing must include a full chain traversal, not fire synchronously.
   TimeNs released_at = -1;
   const TimeNs submit_at = fabric.simulator().now();
-  fabric.runtime(2).sro_write({{kSpace, 3, 1}}, pkt::Packet{}, [&](pkt::Packet&&) {
-    released_at = fabric.simulator().now();
+  fabric.runtime(2).write({{kSpace, 3, 1}}, pkt::Packet{}, [&](pkt::Packet&&) {
+released_at = fabric.simulator().now();
   });
   EXPECT_EQ(released_at, -1);  // not synchronous
   fabric.run_for(100 * kMs);

@@ -21,11 +21,11 @@ class Driver : public NfApp {
     if (port >= 1000 && port < 2000) {
       std::vector<pkt::WriteOp> ops{
           {kSpace, static_cast<std::uint64_t>(port - 1000), ctx.parsed->udp->src_port}};
-      rt.sro_write(std::move(ops), std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write(std::move(ops), std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     } else if (port >= 2000 && port < 3000) {
       std::uint64_t value = 0;
-      const auto st = rt.sro_read(ctx, kSpace, port - 2000, value);
+      const auto st = rt.read(&ctx, kSpace, port - 2000, value);
       if (st == ReadStatus::kOk) {
         last_read = value;
         ++reads_ok;

@@ -17,13 +17,13 @@ class TestApp : public shm::NfApp {
   void process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) override {
     if (!ctx.parsed || !ctx.parsed->udp) return;
     if (ctx.parsed->udp->dst_port == 1111) {
-      rt.ewo_add(kCtrSpace, 0, 1);
+      rt.update(kCtrSpace, 0, 1, nullptr);
       ctx.sw.deliver(std::move(ctx.packet));
     } else if (ctx.parsed->udp->dst_port == 2222) {
       std::vector<pkt::WriteOp> ops{{kRegSpace, 5, 42}};
       pisa::Switch* sw = &ctx.sw;
-      rt.sro_write(std::move(ops), std::move(ctx.packet),
-                   [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
+      rt.write(std::move(ops), std::move(ctx.packet),
+               [sw](pkt::Packet&& p) { sw->deliver(std::move(p)); });
     }
   }
 };
@@ -63,7 +63,7 @@ TEST(Smoke, EwoCounterConvergesAcrossSwitches) {
   fabric.run_for(50 * kMs);
 
   for (std::size_t i = 0; i < fabric.size(); ++i) {
-    EXPECT_EQ(fabric.runtime(i).ewo_read(kCtrSpace, 0), 15u) << "switch " << i;
+    EXPECT_EQ(nf::read_value(fabric.runtime(i), kCtrSpace, 0), 15u) << "switch " << i;
   }
 }
 

@@ -193,15 +193,15 @@ std::unique_ptr<Fabric> make_mixed_fabric(std::uint64_t int_sample_every = 0) {
 
 void drive(Fabric& fabric) {
   for (int k = 0; k < 8; ++k) {
-    fabric.runtime(k % 3).sro_write(
-        {{kSro, static_cast<std::uint64_t>(k), static_cast<std::uint64_t>(100 + k)}},
-        pkt::Packet{}, nullptr);
-    fabric.runtime((k + 1) % 3).ewo_add(kEwo, static_cast<std::uint64_t>(k), 1);
+    fabric.runtime(k % 3).write(
+    {{kSro, static_cast<std::uint64_t>(k), static_cast<std::uint64_t>(100 + k)}},
+    pkt::Packet{}, nullptr);
+    fabric.runtime((k + 1) % 3).update(kEwo, static_cast<std::uint64_t>(k), 1, nullptr);
   }
   fabric.run_for(300 * kMs);
   fabric.kill_switch(2);  // exercise failover -> control + recovery bytes
   fabric.run_for(300 * kMs);
-  fabric.runtime(0).sro_write({{kSro, 1, 999}}, pkt::Packet{}, nullptr);
+  fabric.runtime(0).write({{kSro, 1, 999}}, pkt::Packet{}, nullptr);
   fabric.run_for(200 * kMs);
 }
 
@@ -283,7 +283,7 @@ TEST(TelemetryFullStack, MigrationAndFailoverEmitTraceEvents) {
   fabric.start();
   fabric.simulator().tracer().enable(telemetry::kTraceMigration | telemetry::kTraceFailover);
 
-  fabric.runtime(0).sro_write({{kSro, 3, 33}}, pkt::Packet{}, nullptr);
+  fabric.runtime(0).write({{kSro, 3, 33}}, pkt::Packet{}, nullptr);
   fabric.run_for(100 * kMs);
   TimeNs migrated_at = -1;
   fabric.controller().migrate_space(kSro, {3, 4}, [&](TimeNs t) { migrated_at = t; });

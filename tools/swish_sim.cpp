@@ -115,7 +115,10 @@ struct Options {
       << "  --attack PPS:START:DUR  UDP flood (times in ms)\n"
       << "  --space NAME=CLS[:KIND] override a space's consistency class and\n"
       << "                          optionally its storage kind (CLS: sro|ero|\n"
-      << "                          ewo|own|con; KIND: dense|sparse; repeatable)\n"
+      << "                          ewo|own|con; KIND: dense|sparse; repeatable).\n"
+      << "                          A combination the class cannot serve (e.g. a\n"
+      << "                          counter on sro, a flow table on dense ewo)\n"
+      << "                          exits 2 naming a class that would work\n"
       << "  --int-sample N          in-band telemetry: tag 1 in N packets with an\n"
       << "                          INT-MD trailer (per-hop switch id, timestamps,\n"
       << "                          queue depth, rule hit) and run the fleet-health\n"
@@ -577,8 +580,9 @@ int main(int argc, char** argv) {
     fabric.install(factory);
     fabric.start();
   } catch (const std::invalid_argument& e) {
-    // An unsupported space configuration (e.g. a sparse G-counter space) is
-    // a usage error, not a crash.
+    // A space its class cannot serve (a counter without update(), a flow
+    // table on dense EWO/OWN registers, a dense LPM space, ...) is refused
+    // by the engine's install checks: a usage error, not a crash.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
