@@ -23,6 +23,13 @@ inline constexpr std::uint32_t kFirewallPrefixSpace = 10;
 inline constexpr std::uint32_t kRateLimiterPrefixSpace = 11;
 inline constexpr std::uint32_t kLbRefcountSpace = 12;
 
+/// Ends the packet in `ctx` without delivering it. Every NF discard goes
+/// through here so it is mirrored as a typed drop (DropReason::kNfDiscard)
+/// at this switch, like any other loss in the fabric.
+inline void discard(pisa::PacketContext& ctx) {
+  ctx.sw.report_drop(telemetry::DropReason::kNfDiscard, &ctx.packet);
+}
+
 /// Local read outside packet processing (window ticks, sketch queries,
 /// reports): the key's value, or 0 when it has no live entry.
 inline std::uint64_t read_value(shm::ShmRuntime& rt, std::uint32_t space, std::uint64_t key) {

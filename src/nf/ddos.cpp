@@ -22,7 +22,10 @@ void DdosDetectorApp::setup(pisa::Switch& sw, shm::ShmRuntime& runtime) {
 }
 
 void DdosDetectorApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4) {
+    discard(ctx);
+    return;
+  }
   const pkt::Ipv4Addr dst = ctx.parsed->ipv4->dst;
   ++stats_.packets;
 

@@ -3,7 +3,10 @@
 namespace swish::nf {
 
 void FirewallApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4 || (!ctx.parsed->tcp && !ctx.parsed->udp)) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4 || (!ctx.parsed->tcp && !ctx.parsed->udp)) {
+    discard(ctx);
+    return;
+  }
   const pkt::ParsedPacket& p = *ctx.parsed;
   const bool outbound = in_prefix(p.ipv4->src, config_.internal_prefix,
                                   config_.internal_prefix_len);
@@ -50,6 +53,7 @@ void FirewallApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
   if (const auto verdict = rt.read_lpm(kFirewallPrefixSpace, p.ipv4->src.value());
       verdict && *verdict != 0) {
     ++stats_.blocked_prefix;
+    discard(ctx);
     return;
   }
   // ...then admit only packets of connections the inside opened.
@@ -64,6 +68,7 @@ void FirewallApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
       return;
     case shm::ReadStatus::kMiss:
       ++stats_.blocked_in;
+      discard(ctx);
       return;
   }
 }

@@ -3,7 +3,10 @@
 namespace swish::nf {
 
 void HeavyHitterApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4) {
+    discard(ctx);
+    return;
+  }
   ++stats_.packets;
   const pkt::Ipv4Addr src = ctx.parsed->ipv4->src;
   // Count locally; the aggregate reflects every switch's traffic after the

@@ -25,7 +25,10 @@ void IpsApp::install_signature(shm::ShmRuntime& rt, std::uint64_t signature) {
 }
 
 void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4) {
+    discard(ctx);
+    return;
+  }
   const pkt::ParsedPacket& p = *ctx.parsed;
   const std::uint64_t src_slot = p.ipv4->src.value() % config_.blocklist_size;
 
@@ -36,6 +39,7 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
                                  config_.block_threshold;
   if (blocked) {
     ++stats_.dropped_blocked;
+    discard(ctx);
     return;
   }
 
@@ -54,7 +58,8 @@ void IpsApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
         rt.write({{kIpsBlocklistSpace, src_slot, 1}}, pkt::Packet{}, nullptr);
       }
     }
-    return;  // matched packet dropped
+    discard(ctx);  // matched packet dropped
+    return;
   }
   ++stats_.passed;
   ctx.sw.deliver(std::move(ctx.packet));

@@ -3,7 +3,10 @@
 namespace swish::nf {
 
 void LoadBalancerApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4 || !ctx.parsed->tcp) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4 || !ctx.parsed->tcp) {
+    discard(ctx);
+    return;
+  }
   const pkt::ParsedPacket& p = *ctx.parsed;
   if (p.ipv4->dst != config_.vip) {
     ctx.sw.deliver(std::move(ctx.packet));  // not VIP traffic
@@ -31,10 +34,14 @@ void LoadBalancerApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
     // Mid-connection packet with no mapping anywhere: the assignment was
     // lost — the client's connection is broken (PCC violation, §3.1).
     ++stats_.pcc_violations;
+    discard(ctx);
     return;
   }
 
-  if (config_.backends.empty()) return;
+  if (config_.backends.empty()) {
+    discard(ctx);
+    return;
+  }
   // Deterministic spread of new connections across the pool.
   const std::uint64_t dip_index = pkt::FlowKey::from(p).hash() % config_.backends.size();
   const pkt::Ipv4Addr dip = config_.backends[dip_index];

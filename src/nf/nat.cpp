@@ -5,7 +5,10 @@
 namespace swish::nf {
 
 void NatApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4 || (!ctx.parsed->tcp && !ctx.parsed->udp)) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4 || (!ctx.parsed->tcp && !ctx.parsed->udp)) {
+    discard(ctx);
+    return;
+  }
   const pkt::ParsedPacket& p = *ctx.parsed;
   if (in_prefix(p.ipv4->src, config_.internal_prefix, config_.internal_prefix_len)) {
     outbound(ctx, rt, p);
@@ -102,7 +105,10 @@ void NatApp::install_mapping(pisa::Switch& sw, shm::ShmRuntime& rt, pkt::Packet 
       {kNatSpace, reverse.hash(), pack_endpoint(internal_ip, internal_port)},
   };
   auto parsed = packet.parse();
-  if (!parsed) return;
+  if (!parsed) {
+    sw.report_drop(telemetry::DropReason::kNfDiscard, &packet);
+    return;
+  }
   pkt::Packet out = pkt::rewrite_l3l4(packet, *parsed, config_.public_ip, std::nullopt,
                                       public_port, std::nullopt);
   pisa::Switch* swp = &sw;
@@ -124,6 +130,7 @@ void NatApp::inbound(pisa::PacketContext& ctx, shm::ShmRuntime& rt, const pkt::P
       return;
     case shm::ReadStatus::kMiss:
       ++stats_.dropped_no_mapping;  // unsolicited inbound: drop
+      discard(ctx);
       return;
   }
 }

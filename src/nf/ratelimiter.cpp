@@ -12,12 +12,16 @@ void RateLimiterApp::setup(pisa::Switch& sw, shm::ShmRuntime& runtime) {
 }
 
 void RateLimiterApp::process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) {
-  if (!ctx.parsed || !ctx.parsed->ipv4) return;
+  if (!ctx.parsed || !ctx.parsed->ipv4) {
+    discard(ctx);
+    return;
+  }
   const pkt::Ipv4Addr src = ctx.parsed->ipv4->src;
   const auto slot = static_cast<RegisterIndex>(user_slot(src));
 
   if (limited_ && limited_->read(slot) != 0) {
     ++stats_.dropped_limited;
+    discard(ctx);
     return;
   }
   // The completion captures 16 trivially-copyable bytes, which std::function

@@ -21,7 +21,8 @@ Switch::Switch(sim::Simulator& simulator, net::Network& network, NodeId id, Conf
       network_(network),
       config_(config),
       control_plane_(simulator, config.control_plane, switch_prefix(id) + "cp."),
-      tracer_(simulator.tracer()) {
+      tracer_(simulator.tracer()),
+      spans_(id, simulator.clock()) {
   telemetry::MetricsRegistry& reg = simulator.metrics();
   const std::string prefix = switch_prefix(id);
   stats_.processed = reg.counter(prefix + "processed");
@@ -234,8 +235,14 @@ bool Switch::record_int_sink(const pkt::Packet& packet) {
   // the decoded report rather than on the wire (and is exempt from the cap).
   stack->hops.push_back(make_int_hop(net::kInvalidPort));
   const std::size_t original_bytes = packet.size() - pkt::int_trailer_size(packet);
-  sim_.int_log().record(id(), std::move(stack->hops), stack->truncated, stack->hop_cap,
-                        original_bytes);
+  telemetry::IntSinkReport report;
+  report.time = sim_.now();
+  report.sink = id();
+  report.truncated = stack->truncated;
+  report.hop_cap = stack->hop_cap;
+  report.packet_bytes = static_cast<std::uint32_t>(original_bytes);
+  report.hops = std::move(stack->hops);
+  sim_.int_log().append(id(), std::move(report));
   tracer_.record(telemetry::kTraceInt, id(), "int_sink", original_bytes,
                  stack->truncated ? 1 : 0);
   return true;

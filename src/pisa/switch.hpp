@@ -21,6 +21,7 @@
 #include "pisa/control_plane.hpp"
 #include "pisa/objects.hpp"
 #include "sim/simulator.hpp"
+#include "telemetry/span.hpp"
 
 namespace swish::pisa {
 
@@ -160,6 +161,11 @@ class Switch : public net::Node {
   /// when a trailer was present (caller decides whether to strip it).
   bool record_int_sink(const pkt::Packet& packet);
 
+  /// This switch's causal-span recorder (off until enabled). Root sampling
+  /// and id allocation run per switch, like INT sampling.
+  [[nodiscard]] telemetry::SpanRecorder& spans() noexcept { return spans_; }
+  [[nodiscard]] const telemetry::SpanRecorder& spans() const noexcept { return spans_; }
+
   /// Mirror-on-drop: records a typed drop into this simulator's drop ring,
   /// carrying the packet's INT hop stack when it has one. `packet` may be
   /// null for packetless drops (e.g. protocol-level rejects).
@@ -200,6 +206,7 @@ class Switch : public net::Node {
   std::vector<std::unique_ptr<StatefulObject>> objects_;
   std::function<void(const pkt::Packet&)> delivery_sink_;
   telemetry::Tracer& tracer_;
+  telemetry::SpanRecorder spans_;
   Stats stats_;
   TimeNs dp_free_time_ = 0;
   // Hoisted out of the per-packet admit() path: service time per packet and

@@ -31,10 +31,7 @@ inline TimeNs sat_add(TimeNs a, TimeNs b) noexcept {
 ShardSet::ShardSet(std::size_t shards) {
   if (shards == 0) throw std::invalid_argument("ShardSet: shard count must be >= 1");
   sims_.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    sims_.push_back(std::make_unique<Simulator>());
-    sims_.back()->spans().set_id_base(static_cast<std::uint64_t>(k) << 48);
-  }
+  for (std::size_t k = 0; k < shards; ++k) sims_.push_back(std::make_unique<Simulator>());
   inboxes_.resize(shards);
   for (auto& row : inboxes_) row.resize(shards);
   nexts_.assign(shards, 0);
@@ -316,18 +313,6 @@ telemetry::MetricsSnapshot ShardSet::merged_metrics_snapshot() const {
     snap.merge(sims_[s]->metrics().snapshot());
   }
   return snap;
-}
-
-std::vector<telemetry::Span> ShardSet::all_spans() const {
-  std::vector<telemetry::Span> out;
-  std::size_t total = 0;
-  for (const auto& s : sims_) total += s->spans().spans().size();
-  out.reserve(total);
-  for (const auto& s : sims_) {
-    const auto& v = s->spans().spans();
-    out.insert(out.end(), v.begin(), v.end());
-  }
-  return out;
 }
 
 }  // namespace swish::sim

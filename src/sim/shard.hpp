@@ -71,9 +71,7 @@ namespace swish::sim {
 
 class ShardSet {
  public:
-  /// Creates `shards` simulators. Shard k's SpanRecorder allocates trace/span
-  /// ids above k << 48 so ids stay globally unique without coordination
-  /// (shard 0 keeps base 0: a one-shard set allocates the legacy ids).
+  /// Creates `shards` simulators.
   explicit ShardSet(std::size_t shards);
   ~ShardSet();
   ShardSet(const ShardSet&) = delete;
@@ -140,9 +138,6 @@ class ShardSet {
   /// or mergeable by construction). With one shard this is exactly the legacy
   /// snapshot.
   [[nodiscard]] telemetry::MetricsSnapshot merged_metrics_snapshot() const;
-
-  /// All recorded spans, concatenated in shard order (deterministic).
-  [[nodiscard]] std::vector<telemetry::Span> all_spans() const;
 
   /// Enables consistency-lag measurement. One shard: enables the simulator's
   /// own observatory (legacy path). Multi-shard: lag correlation is

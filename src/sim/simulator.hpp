@@ -37,7 +37,6 @@
 #include "telemetry/drop.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observatory.hpp"
-#include "telemetry/span.hpp"
 #include "telemetry/trace.hpp"
 
 namespace swish::sim {
@@ -172,15 +171,15 @@ class Simulator {
     slots_.reserve(kInitialQueueCapacity);
     free_slots_.reserve(kInitialQueueCapacity);
     tracer_.set_clock(&now_);
-    spans_.set_clock(&now_);
     observatory_.set_clock(&now_);
     drops_.set_clock(&now_);
-    int_log_.set_clock(&now_);
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] TimeNs now() const noexcept { return now_; }
+  /// The virtual clock itself, for recorders that stamp records with it.
+  [[nodiscard]] const TimeNs* clock() const noexcept { return &now_; }
 
   /// Per-simulation telemetry. Every component already holds a Simulator&,
   /// so the registry and flight recorder are reachable from any layer
@@ -191,8 +190,6 @@ class Simulator {
   [[nodiscard]] const telemetry::MetricsRegistry& metrics() const noexcept { return metrics_; }
   [[nodiscard]] telemetry::Tracer& tracer() noexcept { return tracer_; }
   [[nodiscard]] const telemetry::Tracer& tracer() const noexcept { return tracer_; }
-  [[nodiscard]] telemetry::SpanRecorder& spans() noexcept { return spans_; }
-  [[nodiscard]] const telemetry::SpanRecorder& spans() const noexcept { return spans_; }
   [[nodiscard]] telemetry::ConsistencyObservatory& observatory() noexcept {
     return observatory_;
   }
@@ -201,8 +198,12 @@ class Simulator {
   }
   [[nodiscard]] telemetry::DropRing& drops() noexcept { return drops_; }
   [[nodiscard]] const telemetry::DropRing& drops() const noexcept { return drops_; }
-  [[nodiscard]] telemetry::IntReportLog& int_log() noexcept { return int_log_; }
-  [[nodiscard]] const telemetry::IntReportLog& int_log() const noexcept { return int_log_; }
+  [[nodiscard]] telemetry::NodeLog<telemetry::IntSinkReport>& int_log() noexcept {
+    return int_log_;
+  }
+  [[nodiscard]] const telemetry::NodeLog<telemetry::IntSinkReport>& int_log() const noexcept {
+    return int_log_;
+  }
 
   /// Fire-and-forget: runs `fn` at absolute virtual time `t` (>= now). No
   /// cancellation flag is allocated; use this on hot paths that never cancel.
@@ -309,10 +310,9 @@ class Simulator {
   bool stopped_ = false;
   telemetry::MetricsRegistry metrics_;
   telemetry::Tracer tracer_;
-  telemetry::SpanRecorder spans_;
   telemetry::ConsistencyObservatory observatory_;
   telemetry::DropRing drops_;
-  telemetry::IntReportLog int_log_;
+  telemetry::NodeLog<telemetry::IntSinkReport> int_log_{telemetry::kIntReportsPerSink};
 };
 
 }  // namespace swish::sim

@@ -1,7 +1,6 @@
 #include "swishmem/fabric.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 
 #include "net/partition.hpp"
@@ -222,20 +221,30 @@ void Fabric::schedule_revive(std::size_t i, TimeNs at) {
 }
 
 void Fabric::enable_spans(std::uint64_t sample_every, std::size_t max_spans) {
-  for (std::size_t k = 0; k < shards_.count(); ++k) {
-    shards_.sim(k).spans().enable(sample_every, max_spans);
+  for (auto& sw : switches_) sw->spans().enable(sample_every, max_spans);
+}
+
+std::vector<telemetry::Span> Fabric::all_spans() const {
+  std::vector<std::vector<telemetry::Span>> parts;
+  for (const auto& sw : switches_) parts.push_back(sw->spans().spans());
+  return telemetry::merge_canonical(std::move(parts));
+}
+
+Fabric::SpanTotals Fabric::span_totals() const {
+  SpanTotals totals;
+  for (const auto& sw : switches_) {
+    totals.root_decisions += sw->spans().root_decisions();
+    totals.dropped += sw->spans().dropped();
   }
+  return totals;
 }
 
 std::vector<telemetry::DropRecord> Fabric::all_drop_records() const {
-  std::vector<telemetry::DropRecord> out;
+  std::vector<std::vector<telemetry::DropRecord>> parts;
   for (std::size_t k = 0; k < shards_.count(); ++k) {
-    std::vector<telemetry::DropRecord> part = shards_.sim(k).drops().records();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
+    parts.push_back(shards_.sim(k).drops().records());
   }
-  telemetry::sort_canonical(out);
-  return out;
+  return telemetry::merge_canonical(std::move(parts));
 }
 
 std::map<NodeId, std::array<std::uint64_t, telemetry::kNumDropReasons>>
@@ -251,14 +260,11 @@ Fabric::all_drop_counts() const {
 }
 
 std::vector<telemetry::IntSinkReport> Fabric::all_int_reports() const {
-  std::vector<telemetry::IntSinkReport> out;
+  std::vector<std::vector<telemetry::IntSinkReport>> parts;
   for (std::size_t k = 0; k < shards_.count(); ++k) {
-    std::vector<telemetry::IntSinkReport> part = shards_.sim(k).int_log().reports();
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
+    parts.push_back(shards_.sim(k).int_log().records());
   }
-  telemetry::sort_canonical(out);
-  return out;
+  return telemetry::merge_canonical(std::move(parts));
 }
 
 void Fabric::enable_observatory() {

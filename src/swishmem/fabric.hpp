@@ -133,11 +133,21 @@ class Fabric {
     return shards_.merged_metrics_snapshot();
   }
 
-  /// All recorded causal spans, concatenated in shard order.
-  [[nodiscard]] std::vector<telemetry::Span> all_spans() const { return shards_.all_spans(); }
+  // Per-node records (spans, drops, INT reports) gather through
+  // telemetry::merge_canonical in (time, node, seq) order: identical at
+  // every shard count, because each node records single-writer.
 
-  /// All drop records across shards in canonical (time, node, seq) order —
-  /// identical at every shard count (per-node rings, per-node seq).
+  /// All recorded causal spans of every switch's recorder.
+  [[nodiscard]] std::vector<telemetry::Span> all_spans() const;
+
+  /// Root sampling decisions and cap-dropped spans, summed over switches.
+  struct SpanTotals {
+    std::uint64_t root_decisions = 0;
+    std::uint64_t dropped = 0;
+  };
+  [[nodiscard]] SpanTotals span_totals() const;
+
+  /// All retained drop records across shards.
   [[nodiscard]] std::vector<telemetry::DropRecord> all_drop_records() const;
 
   /// Per-(node, reason) drop totals summed across shards (never evicted,
@@ -145,10 +155,11 @@ class Fabric {
   [[nodiscard]] std::map<NodeId, std::array<std::uint64_t, telemetry::kNumDropReasons>>
   all_drop_counts() const;
 
-  /// All INT sink reports across shards in canonical (time, sink, seq) order.
+  /// All retained INT sink reports across shards.
   [[nodiscard]] std::vector<telemetry::IntSinkReport> all_int_reports() const;
 
-  /// Enables span sampling on every shard's recorder.
+  /// Enables span sampling on every switch's recorder: 1 in `sample_every`
+  /// roots per switch, at most `max_spans` retained per switch.
   void enable_spans(std::uint64_t sample_every,
                     std::size_t max_spans = telemetry::SpanRecorder::kDefaultMaxSpans);
 

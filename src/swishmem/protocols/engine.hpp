@@ -132,7 +132,7 @@ class EngineHost {
   }
 
   // -- Observability (defaulted: external hosts need no tracing) ----------------
-  /// Span recorder of this simulation, or nullptr when causal tracing is
+  /// Span recorder of the host switch, or nullptr when causal tracing is
   /// unavailable. Engines cache the pointer; a disabled recorder is one
   /// branch per call, so they need not re-check enablement.
   [[nodiscard]] virtual telemetry::SpanRecorder* spans() noexcept { return nullptr; }

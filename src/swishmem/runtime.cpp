@@ -157,7 +157,6 @@ ShmRuntime::ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller
   int_bytes_ = reg.counter(prefix + "bytes_int");
   total_bytes_ = reg.counter(prefix + "bytes_total");
   int_countdown_ = config_.int_sample_every;
-  spans_ = &sw.simulator().spans();
   observatory_ = &sw.simulator().observatory();
 }
 
@@ -328,7 +327,7 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   }
   if (!active_trace_.sampled()) return {};
   const telemetry::SpanContext ctx =
-      spans_->record_instant(active_trace_, sw_.id(), msg_trace_name(msg));
+      sw_.spans().record_instant(active_trace_, sw_.id(), msg_trace_name(msg));
   if (identity && ctx.sampled()) {
     if (send_spans_.size() >= kMaxSendSpans) send_spans_.clear();
     send_spans_.emplace(*identity, ctx);
@@ -340,7 +339,7 @@ std::size_t ShmRuntime::send(SwitchId dst, const pkt::SwishMessage& msg) {
   telemetry::SpanContext trace_ctx;
   // Inline what outgoing_trace's fast path would check, so the steady state
   // with tracing enabled but nothing sampled skips the call entirely.
-  if (spans_->enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
+  if (sw_.spans().enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
     trace_ctx = outgoing_trace(dst, msg);
   }
   pkt::Packet packet = wrap(dst, msg, trace_ctx);
@@ -501,7 +500,7 @@ void ShmRuntime::on_read_redirect(const pkt::ReadRedirect& msg) {
   // write the re-run NF performs parents under this span.
   telemetry::SpanContext serve;
   if (active_trace_.sampled()) {
-    serve = spans_->record_instant(active_trace_, sw_.id(), "redirect_serve");
+    serve = sw_.spans().record_instant(active_trace_, sw_.id(), "redirect_serve");
   }
   ActiveTraceScope scope(*this, serve.sampled() ? serve : active_trace_);
   pisa::PacketContext ctx{sw_, pkt::Packet(msg.original_packet), nullptr,
@@ -633,12 +632,13 @@ void ShmRuntime::recovery_send_next() {
   // write); retransmissions reuse the first transmission's span through the
   // send-identity cache like any other idempotent frame.
   telemetry::SpanContext root;
-  if (spans_->enabled() && !active_trace_.sampled()) {
-    root = spans_->maybe_start_trace();
+  telemetry::SpanRecorder& spans = sw_.spans();
+  if (spans.enabled() && !active_trace_.sampled()) {
+    root = spans.maybe_start_trace();
     if (root.sampled()) {
-      const TimeNs t = spans_->now();
-      spans_->record({root.trace_id, root.span_id, 0, sw_.id(), "recovery_chunk", t, t, 0, 0,
-                      chunk.write_id});
+      const TimeNs t = spans.now();
+      spans.record({root.trace_id, root.span_id, 0, sw_.id(), "recovery_chunk", t, t, 0, 0,
+                    chunk.write_id});
     }
   }
   ActiveTraceScope scope(*this, root.sampled() ? root : active_trace_);
@@ -685,7 +685,7 @@ void ShmRuntime::on_recovery_chunk(const pkt::WriteRequest& msg) {
   }
   if (msg.write_id == last_recovery_applied_ + 1) {
     if (active_trace_.sampled()) {
-      spans_->record_instant(active_trace_, sw_.id(), "recovery_apply", 0, msg.write_id);
+      sw_.spans().record_instant(active_trace_, sw_.id(), "recovery_apply", 0, msg.write_id);
     }
     for (std::size_t i = 0; i < msg.ops.size(); ++i) {
       // Stream order replays the donor's apply order; each op goes to the

@@ -215,7 +215,7 @@ class ShmRuntime final : public EngineHost {
   [[nodiscard]] bool authoritative() const noexcept override { return authoritative_; }
   void recovery_tap(const std::vector<pkt::WriteOp>& ops,
                     const std::vector<SeqNum>& seqs) override;
-  [[nodiscard]] telemetry::SpanRecorder* spans() noexcept override { return spans_; }
+  [[nodiscard]] telemetry::SpanRecorder* spans() noexcept override { return &sw_.spans(); }
   [[nodiscard]] telemetry::ConsistencyObservatory* observatory() noexcept override {
     return observatory_;
   }
@@ -359,8 +359,7 @@ class ShmRuntime final : public EngineHost {
   bool started_ = false;
   std::function<void(pisa::PacketContext&)> nf_reentry_;
 
-  // Causal tracing (cached from the simulator; one branch when disabled).
-  telemetry::SpanRecorder* spans_ = nullptr;
+  // Causal tracing (spans on the switch's recorder; one branch when disabled).
   telemetry::ConsistencyObservatory* observatory_ = nullptr;
   telemetry::SpanContext active_trace_;
   /// Retry-reuse guard at the send chokepoint: (message tag, idempotency id,

@@ -1,5 +1,5 @@
 // Streaming fleet-health collector: turns the raw INT telemetry streams
-// (sink reports from IntReportLog, mirror-on-drop records from DropRing,
+// (INT sink reports and mirror-on-drop records from the per-node logs,
 // consistency-lag histograms from the observatory) into a health scorecard:
 //
 //  - per-directed-link hop latency distributions (p50/p99), derived from

@@ -1,7 +1,5 @@
 #include "telemetry/drop.hpp"
 
-#include <algorithm>
-
 namespace swish::telemetry {
 
 const char* to_string(DropReason reason) noexcept {
@@ -19,93 +17,22 @@ const char* to_string(DropReason reason) noexcept {
     case DropReason::kWriteRetriesExhausted: return "write_retries_exhausted";
     case DropReason::kQuorumUnreachable: return "quorum_unreachable";
     case DropReason::kRecoveryAbandoned: return "recovery_abandoned";
+    case DropReason::kNfDiscard: return "nf_discard";
   }
   return "unknown";
 }
 
 void DropRing::record(NodeId node, DropReason reason, std::uint32_t packet_bytes,
                       std::uint64_t detail, std::vector<IntHop> hops) {
-  ++total_;
   ++counts_[node][static_cast<std::size_t>(reason)];
-  NodeLog& log = logs_[node];
   DropRecord rec;
   rec.time = now_ != nullptr ? *now_ : 0;
   rec.node = node;
   rec.reason = reason;
   rec.packet_bytes = packet_bytes;
   rec.detail = detail;
-  rec.seq = log.next_seq++;
   rec.hops = std::move(hops);
-  log.ring.push_back(std::move(rec));
-  if (log.ring.size() > capacity_) log.ring.pop_front();
-}
-
-std::uint64_t DropRing::count(NodeId node, DropReason reason) const noexcept {
-  auto it = counts_.find(node);
-  if (it == counts_.end()) return 0;
-  return it->second[static_cast<std::size_t>(reason)];
-}
-
-std::vector<DropRecord> DropRing::records() const {
-  std::vector<DropRecord> out;
-  for (const auto& [node, log] : logs_) {
-    out.insert(out.end(), log.ring.begin(), log.ring.end());
-  }
-  return out;
-}
-
-void DropRing::clear() noexcept {
-  logs_.clear();
-  counts_.clear();
-  total_ = 0;
-}
-
-void IntReportLog::record(NodeId sink, std::vector<IntHop> hops, bool truncated,
-                          std::uint8_t hop_cap, std::uint32_t packet_bytes) {
-  ++total_;
-  if (truncated) ++truncated_;
-  SinkLog& log = logs_[sink];
-  IntSinkReport rep;
-  rep.time = now_ != nullptr ? *now_ : 0;
-  rep.sink = sink;
-  rep.truncated = truncated;
-  rep.hop_cap = hop_cap;
-  rep.packet_bytes = packet_bytes;
-  rep.seq = log.next_seq++;
-  rep.hops = std::move(hops);
-  log.ring.push_back(std::move(rep));
-  if (log.ring.size() > capacity_) log.ring.pop_front();
-}
-
-std::vector<IntSinkReport> IntReportLog::reports() const {
-  std::vector<IntSinkReport> out;
-  for (const auto& [sink, log] : logs_) {
-    out.insert(out.end(), log.ring.begin(), log.ring.end());
-  }
-  return out;
-}
-
-void IntReportLog::clear() noexcept {
-  logs_.clear();
-  total_ = 0;
-  truncated_ = 0;
-}
-
-void sort_canonical(std::vector<DropRecord>& records) {
-  std::sort(records.begin(), records.end(), [](const DropRecord& a, const DropRecord& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.node != b.node) return a.node < b.node;
-    return a.seq < b.seq;
-  });
-}
-
-void sort_canonical(std::vector<IntSinkReport>& reports) {
-  std::sort(reports.begin(), reports.end(),
-            [](const IntSinkReport& a, const IntSinkReport& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.sink != b.sink) return a.sink < b.sink;
-              return a.seq < b.seq;
-            });
+  log_.append(node, std::move(rec));
 }
 
 }  // namespace swish::telemetry

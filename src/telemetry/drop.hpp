@@ -2,32 +2,28 @@
 //
 // Two per-simulator logs, owned by sim::Simulator next to the Tracer:
 //
-//  - IntReportLog: INT sink reports. When an INT-sampled packet reaches its
-//    destination switch, the accumulated per-hop stack (switch id, ingress/
-//    egress timestamps, queue depth, rule hit) is peeled off the wire and
-//    recorded here.
+//  - NodeLog<IntSinkReport>: INT sink reports. When an INT-sampled packet
+//    reaches its destination switch, the accumulated per-hop stack (switch
+//    id, ingress/egress timestamps, queue depth, rule hit) is peeled off the
+//    wire and recorded here.
 //  - DropRing: mirror-on-drop. Every drop site in the fabric — link queue
 //    overflow, on-wire loss, dead-node blackhole, missing route, data-plane
 //    capacity, recirculation cap, protocol parse errors, engine rejects,
-//    quorum-unreachable consensus writes — records a typed DropRecord
-//    carrying whatever INT stack the dropped packet had accumulated, so any
-//    loss is attributable to an exact hop and cause.
+//    quorum-unreachable consensus writes, NF discards — records a typed
+//    DropRecord carrying whatever INT stack the dropped packet had
+//    accumulated, so any loss is attributable to an exact hop and cause.
 //
-// Both logs are organized per node with per-node sequence numbers and
-// per-node capacity, which makes retention and ordering a pure function of
-// each node's own event stream: gathering the logs of a sharded run and
-// sorting by (time, node, seq) yields the same canonical stream at every
-// shard count (each node lives on exactly one shard, and its records are
-// produced single-writer in simulation order).
+// Both keep their records in a telemetry::NodeLog (node_log.hpp): per-node
+// rings with per-node seqs, gathered across shards by merge_canonical.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <vector>
 
 #include "common/types.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace swish::telemetry {
 
@@ -59,8 +55,9 @@ enum class DropReason : std::uint8_t {
   kWriteRetriesExhausted,   ///< retransmit budget spent, write abandoned
   kQuorumUnreachable,       ///< CON write could not reach a majority
   kRecoveryAbandoned,       ///< recovery stream target unreachable
+  kNfDiscard,               ///< the NF ended the packet without delivering it
 };
-inline constexpr std::size_t kNumDropReasons = 13;
+inline constexpr std::size_t kNumDropReasons = 14;
 
 const char* to_string(DropReason reason) noexcept;
 
@@ -88,22 +85,27 @@ struct IntSinkReport {
   std::vector<IntHop> hops;
 };
 
+inline RecordKey record_key(const DropRecord& r) noexcept { return {r.time, r.node, r.seq}; }
+inline RecordKey record_key(const IntSinkReport& r) noexcept { return {r.time, r.sink, r.seq}; }
+
+/// INT sink reports retained per sink switch.
+inline constexpr std::size_t kIntReportsPerSink = 1u << 16;
+
 /// Per-switch bounded drop log with exact per-reason tallies. Detailed
-/// records are retained up to `capacity` per node (oldest evicted first);
-/// the per-(node, reason) counters are never evicted, so reason attribution
-/// stays 100% even when forensic detail ages out.
+/// records are retained up to `records_per_node` per node (oldest evicted
+/// first); the per-(node, reason) counters are never evicted, so reason
+/// attribution stays 100% even when forensic detail ages out.
 class DropRing {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;  ///< records per node
 
+  explicit DropRing(std::size_t records_per_node = kDefaultCapacity) : log_(records_per_node) {}
+
   void set_clock(const TimeNs* now) noexcept { now_ = now; }
-  void set_capacity(std::size_t per_node) noexcept { capacity_ = per_node; }
 
   void record(NodeId node, DropReason reason, std::uint32_t packet_bytes,
               std::uint64_t detail, std::vector<IntHop> hops = {});
 
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t count(NodeId node, DropReason reason) const noexcept;
   /// Per-node reason tallies, nodes ascending (exact, never evicted).
   [[nodiscard]] const std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>>& counts()
       const noexcept {
@@ -111,59 +113,12 @@ class DropRing {
   }
 
   /// Retained records, nodes ascending and per-node recording order.
-  [[nodiscard]] std::vector<DropRecord> records() const;
-
-  void clear() noexcept;
+  [[nodiscard]] std::vector<DropRecord> records() const { return log_.records(); }
 
  private:
-  struct NodeLog {
-    std::deque<DropRecord> ring;
-    std::uint64_t next_seq = 1;
-  };
-
   const TimeNs* now_ = nullptr;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::map<NodeId, NodeLog> logs_;
+  NodeLog<DropRecord> log_;
   std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>> counts_;
-  std::uint64_t total_ = 0;
 };
-
-/// Per-sink bounded log of INT sink reports; same retention and ordering
-/// contract as DropRing.
-class IntReportLog {
- public:
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;  ///< reports per sink
-
-  void set_clock(const TimeNs* now) noexcept { now_ = now; }
-  void set_capacity(std::size_t per_sink) noexcept { capacity_ = per_sink; }
-
-  void record(NodeId sink, std::vector<IntHop> hops, bool truncated, std::uint8_t hop_cap,
-              std::uint32_t packet_bytes);
-
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] std::uint64_t truncated() const noexcept { return truncated_; }
-
-  /// Retained reports, sinks ascending and per-sink recording order.
-  [[nodiscard]] std::vector<IntSinkReport> reports() const;
-
-  void clear() noexcept;
-
- private:
-  struct SinkLog {
-    std::deque<IntSinkReport> ring;
-    std::uint64_t next_seq = 1;
-  };
-
-  const TimeNs* now_ = nullptr;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::map<NodeId, SinkLog> logs_;
-  std::uint64_t total_ = 0;
-  std::uint64_t truncated_ = 0;
-};
-
-/// Canonical cross-shard order for gathered logs: (time, node, seq). Stable
-/// and shard-count-invariant because seq is per-node.
-void sort_canonical(std::vector<DropRecord>& records);
-void sort_canonical(std::vector<IntSinkReport>& reports);
 
 }  // namespace swish::telemetry

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string_view>
 #include <istream>
 #include <ostream>
@@ -206,71 +205,6 @@ std::vector<TraceSummary> stitch_traces(const std::vector<Span>& spans) {
   return out;
 }
 
-std::vector<Span> canonicalize_spans(std::vector<Span> spans) {
-  // Per-trace sort key: (root start, root node, old trace id). The root is
-  // the earliest parentless span; traces whose root was dropped at the
-  // recorder cap fall back to their earliest span.
-  struct TraceKey {
-    TimeNs start = 0;
-    NodeId node = 0;
-    std::uint64_t old_id = 0;
-    bool root_seen = false;
-  };
-  std::unordered_map<std::uint64_t, TraceKey> traces;
-  traces.reserve(spans.size());
-  for (const Span& s : spans) {
-    auto [it, fresh] = traces.try_emplace(s.trace_id);
-    TraceKey& k = it->second;
-    const bool is_root = s.parent_span == 0;
-    const bool better = fresh || (is_root && !k.root_seen) ||
-                        (is_root == k.root_seen &&
-                         (s.start < k.start || (s.start == k.start && s.node < k.node)));
-    if (better) {
-      k.start = s.start;
-      k.node = s.node;
-      k.root_seen = k.root_seen || is_root;
-    }
-    if (fresh) k.old_id = s.trace_id;
-  }
-
-  std::sort(spans.begin(), spans.end(), [&traces](const Span& a, const Span& b) {
-    if (a.trace_id != b.trace_id) {
-      const TraceKey& ka = traces.at(a.trace_id);
-      const TraceKey& kb = traces.at(b.trace_id);
-      if (ka.start != kb.start) return ka.start < kb.start;
-      if (ka.node != kb.node) return ka.node < kb.node;
-      return ka.old_id < kb.old_id;
-    }
-    if (a.start != b.start) return a.start < b.start;
-    if (a.hop != b.hop) return a.hop < b.hop;
-    if (a.node != b.node) return a.node < b.node;
-    if (const int c = std::strcmp(a.name, b.name); c != 0) return c < 0;
-    if (a.space != b.space) return a.space < b.space;
-    if (a.key != b.key) return a.key < b.key;
-    if (a.end != b.end) return a.end < b.end;
-    return a.span_id < b.span_id;
-  });
-
-  // Dense renumbering in sorted order; parent links follow the span-id map.
-  std::unordered_map<std::uint64_t, std::uint64_t> trace_map;
-  std::unordered_map<std::uint64_t, std::uint64_t> span_map;
-  trace_map.reserve(traces.size());
-  span_map.reserve(spans.size());
-  for (const Span& s : spans) {
-    trace_map.try_emplace(s.trace_id, trace_map.size() + 1);
-    span_map.try_emplace(s.span_id, span_map.size() + 1);
-  }
-  for (Span& s : spans) {
-    s.trace_id = trace_map.at(s.trace_id);
-    s.span_id = span_map.at(s.span_id);
-    if (s.parent_span != 0) {
-      auto it = span_map.find(s.parent_span);
-      s.parent_span = it == span_map.end() ? 0 : it->second;
-    }
-  }
-  return spans;
-}
-
 std::vector<TraceSummary> top_slowest(std::vector<TraceSummary> summaries, std::size_t k) {
   std::sort(summaries.begin(), summaries.end(), [](const TraceSummary& a, const TraceSummary& b) {
     if (a.duration() != b.duration()) return a.duration() > b.duration();
@@ -282,12 +216,12 @@ std::vector<TraceSummary> top_slowest(std::vector<TraceSummary> summaries, std::
 
 void print_trace_summaries(std::ostream& os, const std::vector<TraceSummary>& summaries) {
   char buf[160];
-  std::snprintf(buf, sizeof buf, "%8s  %-16s %6s %5s %8s %12s %12s %6s %6s %4s\n", "trace",
+  std::snprintf(buf, sizeof buf, "%16s  %-16s %6s %5s %8s %12s %12s %6s %6s %4s\n", "trace",
                 "root", "origin", "space", "key", "start_us", "dur_us", "spans", "nodes", "hops");
   os << buf;
   for (const TraceSummary& t : summaries) {
     std::snprintf(buf, sizeof buf,
-                  "%8" PRIu64 "  %-16s %6u %5u %8" PRIu64 " %12s %12s %6zu %6zu %4u\n",
+                  "%16" PRIu64 "  %-16s %6u %5u %8" PRIu64 " %12s %12s %6zu %6zu %4u\n",
                   t.trace_id, t.root_name, t.origin, t.space, t.key, us3(t.start).c_str(),
                   us3(t.duration()).c_str(), t.span_count, t.node_count,
                   static_cast<unsigned>(t.max_hop));

@@ -72,18 +72,6 @@ struct TraceSummary {
 /// parent was dropped at the recorder cap still aggregate into their trace.
 std::vector<TraceSummary> stitch_traces(const std::vector<Span>& spans);
 
-/// Rewrites span/trace ids into a canonical, content-derived numbering so
-/// that two recordings of the same causal structure compare byte-identical
-/// regardless of id-allocation order — the cross-shard-count comparison for
-/// the sharded simulation core (per-shard recorders allocate ids from
-/// disjoint bases, and record order differs with the partitioning).
-///
-/// Traces order by (root start, root node, old trace id); spans within the
-/// result by (trace, start, hop, node, name, space, key, end, old span id).
-/// Ids renumber densely from 1 in that order; parent links are remapped, and
-/// a parent outside the set (dropped at the recorder cap) becomes 0.
-std::vector<Span> canonicalize_spans(std::vector<Span> spans);
-
 /// The k slowest traces by duration (ties broken by ascending trace id).
 std::vector<TraceSummary> top_slowest(std::vector<TraceSummary> summaries, std::size_t k);
 

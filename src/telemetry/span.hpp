@@ -1,5 +1,5 @@
 // Causal tracing: sampled per-write trace contexts carried in-band by the
-// SwiShmem wire protocol, plus the per-simulation span recorder they land in.
+// SwiShmem wire protocol, plus the per-switch span recorder they land in.
 //
 // A SpanContext is 17 bytes on the wire (trace id, span id, hop count),
 // attached only to messages whose causal chain was sampled — unsampled
@@ -8,8 +8,9 @@
 // a Span (a point or interval in virtual time on one switch) whose
 // parent_span is the wire context it continued; post-run stitching
 // (telemetry/export.hpp) rebuilds the cross-switch causal DAG from these
-// parent edges. The recorder is owned by sim::Simulator next to the
-// MetricsRegistry/Tracer, so identical seeded runs record identical spans.
+// parent edges. Each pisa::Switch owns one recorder: sampling decisions and
+// id allocation are a pure function of that switch's own event stream, so
+// identical seeded runs record identical spans at every shard count.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace swish::telemetry {
 
@@ -50,12 +52,26 @@ struct Span {
   std::uint64_t key = 0;
 };
 
-/// Per-simulation span store with deterministic 1-in-N root sampling.
+/// Canonical identity: the span id is the per-node seq (each switch's
+/// recorder allocates span ids densely above its own base).
+inline RecordKey record_key(const Span& s) noexcept { return {s.start, s.node, s.span_id}; }
+
+/// Per-switch span store with deterministic 1-in-N root sampling.
 /// Disabled (the default) it is two loads and a branch per query; no memory
 /// is allocated until the first record after enable().
 class SpanRecorder {
  public:
   static constexpr std::size_t kDefaultMaxSpans = 1u << 18;
+  /// Trace and span ids of node n start above n << kIdBaseShift: globally
+  /// unique without coordination, and below 2^53 (exact as JSON numbers)
+  /// for every node id below 2^13.
+  static constexpr unsigned kIdBaseShift = 40;
+
+  /// `now` is the owning switch's simulator clock; spans are stamped with it.
+  SpanRecorder(NodeId node, const TimeNs* now) noexcept
+      : now_(now),
+        next_trace_id_(static_cast<std::uint64_t>(node) << kIdBaseShift),
+        next_span_id_(next_trace_id_) {}
 
   /// Samples one causal chain in every `sample_every` roots (1 = every
   /// write). 0 disables recording. Retains at most `max_spans` spans;
@@ -93,19 +109,6 @@ class SpanRecorder {
     return SpanContext{parent.trace_id, ++next_span_id_, hop};
   }
 
-  /// Partitions the id space for sharded simulations: recorder k allocates
-  /// trace/span ids above `base` (ShardSet uses shard << 48), so ids are
-  /// globally unique across per-shard recorders without coordination. Shard
-  /// 0 keeps base 0 — a one-shard run allocates exactly the legacy ids.
-  /// Call before the first trace starts.
-  void set_id_base(std::uint64_t base) noexcept {
-    next_trace_id_ = base;
-    next_span_id_ = base;
-  }
-
-  /// The simulator stamps spans with virtual time via this hook (same
-  /// pattern as Tracer::set_clock).
-  void set_clock(const TimeNs* now) noexcept { now_ = now; }
   [[nodiscard]] TimeNs now() const noexcept { return now_ ? *now_ : 0; }
 
   void record(const Span& s) {
@@ -133,11 +136,6 @@ class SpanRecorder {
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   /// Root sampling decisions taken so far (sampled or not).
   [[nodiscard]] std::uint64_t root_decisions() const noexcept { return root_decisions_; }
-
-  void clear() noexcept {
-    spans_.clear();
-    dropped_ = 0;
-  }
 
  private:
   std::uint64_t sample_every_ = 0;  ///< 0 = disabled

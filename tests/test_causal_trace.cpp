@@ -67,7 +67,7 @@ struct Rig {
   Rig(FabricConfig cfg, const std::vector<SpaceConfig>& spaces,
       std::uint64_t span_sample) : fabric(cfg) {
     if (span_sample > 0) {
-      fabric.simulator().spans().enable(span_sample);
+      fabric.enable_spans(span_sample);
       fabric.simulator().observatory().enable(fabric.simulator().metrics());
     }
     for (const auto& sp : spaces) fabric.add_space(sp);
@@ -75,9 +75,7 @@ struct Rig {
     fabric.start();
   }
 
-  const std::vector<telemetry::Span>& spans() {
-    return fabric.simulator().spans().spans();
-  }
+  std::vector<telemetry::Span> spans() const { return fabric.all_spans(); }
 
   std::size_t count_spans(const std::string& name) {
     std::size_t n = 0;
@@ -242,7 +240,7 @@ TEST(CausalTrace, DisabledRecorderRecordsNothing) {
   }
   rig.fabric.run_for(100 * kMs);
   EXPECT_TRUE(rig.spans().empty());
-  EXPECT_EQ(rig.fabric.simulator().spans().root_decisions(), 0u);
+  EXPECT_EQ(rig.fabric.span_totals().root_decisions, 0u);
   // The observatory is off too: no lag metrics appear in the registry.
   EXPECT_EQ(rig.metric_count("lag.t.reg.propagation_ns"), 0u);
 }
@@ -257,7 +255,7 @@ TEST(CausalTrace, SampledOutWritesRecordNothing) {
 
   // Root decisions 0 and 3 sample (counter-based 1-in-3): exactly two roots,
   // and every recorded span belongs to one of those two traces.
-  EXPECT_EQ(rig.fabric.simulator().spans().root_decisions(), kWrites);
+  EXPECT_EQ(rig.fabric.span_totals().root_decisions, kWrites);
   EXPECT_EQ(rig.count_spans("chain_write"), 2u);
   std::set<std::uint64_t> roots;
   for (const auto& s : rig.spans()) {

@@ -1,7 +1,9 @@
 // In-band network telemetry (INT) tests: the INT-MD wire codec (trailer
 // round-trip, hop-cap truncation), mirror-on-drop forensics (every network
 // loss carries a typed reason attributed to an exact switch, including under
-// a kill schedule), INT sink reports (per-hop path extraction), and the
+// a kill schedule, and so does every NF discard), per-node log retention
+// (oldest-first eviction, dense seqs, tallies that outlive eviction), INT
+// sink reports (per-hop path extraction), and the
 // fleet-health collector (SLO burn math, anomaly detectors on synthetic
 // series, JSON round-trip, and byte-identical output across --shards
 // {1, 2, 4} under loss).
@@ -12,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "nf/firewall.hpp"
+#include "nf/lb.hpp"
 #include "packet/int_md.hpp"
 #include "packet/packet.hpp"
 #include "swishmem/fabric.hpp"
@@ -255,6 +259,136 @@ TEST(IntSink, UnsampledRunRecordsNothing) {
   IntRig rig(/*shards=*/1, /*loss=*/0.0, /*sample=*/0);
   rig.drive_writes();
   EXPECT_TRUE(rig.fabric.all_int_reports().empty());
+}
+
+/// NF discards on a 3-switch fabric running one app per switch: the app's
+/// own discard counter at switch i must equal the kNfDiscard tally there.
+template <typename App>
+struct NfRig {
+  Fabric fabric;
+  std::vector<App*> apps;
+  std::uint64_t delivered = 0;
+
+  NfRig(const SpaceConfig& space, const typename App::Config& app_config)
+      : fabric(config()) {
+    fabric.add_space(space);
+    fabric.install([this, app_config]() {
+      auto app = std::make_unique<App>(app_config);
+      apps.push_back(app.get());
+      return app;
+    });
+    fabric.start();
+    fabric.set_delivery_sink([this](const pkt::Packet&) { ++delivered; });
+  }
+
+  static FabricConfig config() {
+    FabricConfig cfg;
+    cfg.num_switches = 3;
+    return cfg;
+  }
+
+  std::uint64_t nf_discards(std::size_t i) {
+    const auto counts = fabric.all_drop_counts();
+    const auto it = counts.find(fabric.sw(i).id());
+    if (it == counts.end()) return 0;
+    return it->second[static_cast<std::size_t>(telemetry::DropReason::kNfDiscard)];
+  }
+};
+
+pkt::Packet tcp(pkt::Ipv4Addr src, pkt::Ipv4Addr dst, std::uint16_t sport, std::uint8_t flags) {
+  pkt::PacketSpec spec;
+  spec.ip_src = src;
+  spec.ip_dst = dst;
+  spec.protocol = pkt::kProtoTcp;
+  spec.src_port = sport;
+  spec.dst_port = 80;
+  spec.tcp_flags = flags;
+  spec.payload = {0};
+  return pkt::build_packet(spec);
+}
+
+TEST(MirrorOnDrop, NfDiscardsAttributedAtTheDroppingSwitch) {
+  const pkt::Ipv4Addr client{192, 168, 1, 10};
+  const pkt::Ipv4Addr server{8, 8, 8, 8};
+
+  // Firewall: unsolicited inbound packets at switch 1 are blocked there.
+  NfRig<nf::FirewallApp> fw(nf::FirewallApp::space(), nf::FirewallApp::Config{});
+  for (std::uint16_t k = 0; k < 3; ++k) {
+    fw.fabric.sw(1).inject(tcp(server, client, static_cast<std::uint16_t>(1000 + k),
+                               pkt::TcpFlags::kAck));
+  }
+  fw.fabric.run_for(50 * kMs);
+  EXPECT_EQ(fw.delivered, 0u);
+  EXPECT_EQ(fw.apps[1]->stats().blocked_in, 3u);
+  EXPECT_EQ(fw.nf_discards(1), fw.apps[1]->stats().blocked_in);
+  EXPECT_EQ(fw.nf_discards(0), 0u);
+
+  // LB: mid-flow packets with no mapping anywhere are PCC violations at
+  // switch 2, mirrored there with the packet's size.
+  const pkt::Ipv4Addr vip{10, 200, 0, 1};
+  NfRig<nf::LoadBalancerApp> lb(nf::LoadBalancerApp::space(),
+                                nf::LoadBalancerApp::Config{vip, {{10, 1, 0, 1}}, 65536});
+  for (std::uint16_t k = 0; k < 2; ++k) {
+    lb.fabric.sw(2).inject(
+        tcp(client, vip, static_cast<std::uint16_t>(2000 + k), pkt::TcpFlags::kAck));
+  }
+  lb.fabric.run_for(50 * kMs);
+  EXPECT_EQ(lb.delivered, 0u);
+  EXPECT_EQ(lb.apps[2]->stats().pcc_violations, 2u);
+  EXPECT_EQ(lb.nf_discards(2), lb.apps[2]->stats().pcc_violations);
+  for (const auto& rec : lb.fabric.all_drop_records()) {
+    EXPECT_EQ(rec.node, lb.fabric.sw(2).id());
+    EXPECT_EQ(rec.reason, telemetry::DropReason::kNfDiscard);
+    EXPECT_GT(rec.packet_bytes, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// NodeLog retention
+// ---------------------------------------------------------------------------
+
+TEST(NodeLog, EvictsOldestKeepsDenseSeqsAndNodeOrder) {
+  telemetry::NodeLog<telemetry::DropRecord> log(/*capacity=*/2);
+  for (TimeNs t = 1; t <= 5; ++t) {
+    telemetry::DropRecord rec;
+    rec.time = t;
+    rec.node = 9;
+    log.append(9, rec);  // node 9 first: output order must not follow it
+    rec.node = 4;
+    if (t <= 3) log.append(4, rec);
+  }
+  const auto recs = log.records();
+  ASSERT_EQ(recs.size(), 4u);
+  // Nodes ascending; within a node, the two newest records survive with the
+  // seqs they were stamped with (dense from 1, never reused after eviction).
+  EXPECT_EQ(recs[0].node, 4u);
+  EXPECT_EQ(recs[0].seq, 2u);
+  EXPECT_EQ(recs[0].time, 2);
+  EXPECT_EQ(recs[1].seq, 3u);
+  EXPECT_EQ(recs[2].node, 9u);
+  EXPECT_EQ(recs[2].seq, 4u);
+  EXPECT_EQ(recs[2].time, 4);
+  EXPECT_EQ(recs[3].seq, 5u);
+  EXPECT_EQ(recs[3].time, 5);
+}
+
+TEST(NodeLog, DropRingTalliesSurviveEviction) {
+  telemetry::DropRing ring(/*records_per_node=*/2);
+  for (int k = 0; k < 5; ++k) ring.record(7, telemetry::DropReason::kLinkLoss, 64, 0);
+  ring.record(7, telemetry::DropReason::kNfDiscard, 64, 0);
+  ring.record(3, telemetry::DropReason::kNoRoute, 64, 0);
+
+  const auto recs = ring.records();
+  ASSERT_EQ(recs.size(), 3u);  // node 3's one record + node 7's newest two
+  EXPECT_EQ(recs[0].node, 3u);
+  EXPECT_EQ(recs[1].seq, 5u);
+  EXPECT_EQ(recs[2].seq, 6u);
+  EXPECT_EQ(recs[2].reason, telemetry::DropReason::kNfDiscard);
+
+  const auto& counts = ring.counts();
+  EXPECT_EQ(counts.at(7)[static_cast<std::size_t>(telemetry::DropReason::kLinkLoss)], 5u);
+  EXPECT_EQ(counts.at(7)[static_cast<std::size_t>(telemetry::DropReason::kNfDiscard)], 1u);
+  EXPECT_EQ(counts.at(3)[static_cast<std::size_t>(telemetry::DropReason::kNoRoute)], 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@
 //
 // Fabric level: a sharded fabric preserves protocol semantics (same commits,
 // same propagation counts as the single-threaded run), repeat runs at the
-// same shard count are byte-identical, and — the cross-shard causal-tracing
+// same shard count are byte-identical, and — the cross-shard telemetry
 // contract — spans crossing a shard boundary stitch into one unforked,
-// undropped DAG whose canonicalized Perfetto export is byte-identical across
-// --shards {1, 2, 4} for the same seed, including under loss.
+// undropped DAG, and the raw Perfetto export, drop records and INT reports
+// are byte-identical across --shards {1, 2, 4} for the same seed, under
+// loss, at every span sampling rate.
 //
 // All fabric-level scenarios drive writes from the owning switch's own shard
 // (sim clock), which keeps virtual timings shard-count-invariant: in-fabric
@@ -146,10 +147,11 @@ TEST(ShardedSim, ZeroOrNegativeLookaheadRejected) {
 struct ShardRig {
   Fabric fabric;
 
-  ShardRig(std::size_t shards, std::uint64_t seed, double loss, bool tracing)
-      : fabric(config(shards, seed, loss)) {
+  ShardRig(std::size_t shards, std::uint64_t seed, double loss, bool tracing,
+           std::uint64_t span_sample = 1, std::uint64_t int_sample = 0)
+      : fabric(config(shards, seed, loss, int_sample)) {
     if (tracing) {
-      fabric.enable_spans(/*sample_every=*/1);
+      fabric.enable_spans(span_sample);
       fabric.enable_observatory();
     }
     fabric.add_space(sro_space());
@@ -158,12 +160,14 @@ struct ShardRig {
     fabric.start();
   }
 
-  static FabricConfig config(std::size_t shards, std::uint64_t seed, double loss) {
+  static FabricConfig config(std::size_t shards, std::uint64_t seed, double loss,
+                             std::uint64_t int_sample) {
     FabricConfig cfg;
     cfg.num_switches = 4;
     cfg.seed = seed;
     cfg.shards = shards;
     cfg.link.loss_probability = loss;
+    cfg.int_sample_every = int_sample;
     return cfg;
   }
 
@@ -193,11 +197,22 @@ struct ShardRig {
                                                                 : it->second.count;
   }
 
-  std::string canonical_perfetto() {
-    const std::vector<telemetry::Span> spans =
-        telemetry::canonicalize_spans(fabric.all_spans());
+  /// Raw fabric-wide telemetry: the Perfetto export of all_spans(), then
+  /// every drop record and INT report in gather order.
+  std::string telemetry_dump() {
     std::ostringstream os;
-    telemetry::write_perfetto(os, spans);
+    telemetry::write_perfetto(os, fabric.all_spans());
+    for (const auto& d : fabric.all_drop_records()) {
+      os << "drop " << d.time << ' ' << d.node << ' ' << d.seq << ' '
+         << telemetry::to_string(d.reason) << ' ' << d.packet_bytes << ' ' << d.detail << ' '
+         << d.hops.size() << '\n';
+    }
+    for (const auto& r : fabric.all_int_reports()) {
+      os << "int " << r.time << ' ' << r.sink << ' ' << r.seq << ' ' << r.truncated << ' '
+         << r.packet_bytes;
+      for (const auto& h : r.hops) os << ' ' << h.switch_id << '@' << h.ingress_ts;
+      os << '\n';
+    }
     return os.str();
   }
 };
@@ -240,20 +255,25 @@ TEST(ShardedSim, RepeatShardedRunsAreByteIdentical) {
   EXPECT_EQ(pa.str(), pb.str());
 }
 
-TEST(ShardedSim, CanonicalPerfettoIdenticalAcrossShardCounts) {
-  // The satellite contract: under loss, --shards {1,2,4} produce identical
-  // canonicalized Perfetto exports for the same seed. (Raw exports differ
-  // only in id allocation — shard k's recorder numbers from k << 48 — and
-  // record order; canonicalize_spans removes exactly that.)
-  ShardRig one(1, /*seed=*/13, /*loss=*/0.25, /*tracing=*/true);
-  one.drive_writes();
-  const std::string reference = one.canonical_perfetto();
-  ASSERT_FALSE(one.fabric.all_spans().empty());
+TEST(ShardedSim, RawTelemetryIdenticalAcrossShardCountsAtEverySampleRate) {
+  // Under loss, --shards {1,2,4} produce byte-identical raw Perfetto exports,
+  // drop records and INT reports for the same seed, at 1-in-1 and 1-in-4
+  // span sampling: sampling and id allocation run per switch, and every
+  // per-node record gathers in (time, node, seq) order.
+  for (const std::uint64_t sample : {std::uint64_t{1}, std::uint64_t{4}}) {
+    ShardRig one(1, /*seed=*/13, /*loss=*/0.25, /*tracing=*/true, sample, /*int_sample=*/4);
+    one.drive_writes();
+    const std::string reference = one.telemetry_dump();
+    ASSERT_FALSE(one.fabric.all_spans().empty()) << "sample=" << sample;
+    ASSERT_FALSE(one.fabric.all_drop_records().empty()) << "sample=" << sample;
+    ASSERT_FALSE(one.fabric.all_int_reports().empty()) << "sample=" << sample;
 
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    ShardRig rig(shards, /*seed=*/13, /*loss=*/0.25, /*tracing=*/true);
-    rig.drive_writes();
-    EXPECT_EQ(rig.canonical_perfetto(), reference) << "shards=" << shards;
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+      ShardRig rig(shards, /*seed=*/13, /*loss=*/0.25, /*tracing=*/true, sample,
+                   /*int_sample=*/4);
+      rig.drive_writes();
+      EXPECT_EQ(rig.telemetry_dump(), reference) << "shards=" << shards << " sample=" << sample;
+    }
   }
 }
 

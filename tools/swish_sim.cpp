@@ -139,7 +139,8 @@ struct Options {
       << "                          " << telemetry::trace_category_list() << "\n"
       << "                          (default all)\n"
       << "  --span-sample N         causal tracing: sample 1 in N trace roots\n"
-      << "                          and enable the consistency-lag observatory\n"
+      << "                          per switch and enable the consistency-lag\n"
+      << "                          observatory\n"
       << "  --perfetto FILE         write sampled spans as Chrome/Perfetto\n"
       << "                          trace-event JSON (implies --span-sample 64\n"
       << "                          unless one is given)\n"
@@ -856,15 +857,10 @@ int main(int argc, char** argv) {
 
     if (opt.span_sample > 0) {
       const std::vector<telemetry::Span> spans = fabric.all_spans();
-      std::uint64_t roots = 0;
-      std::uint64_t dropped = 0;
-      for (std::size_t k = 0; k < shard_set.count(); ++k) {
-        roots += shard_set.sim(k).spans().root_decisions();
-        dropped += shard_set.sim(k).spans().dropped();
-      }
+      const shm::Fabric::SpanTotals totals = fabric.span_totals();
       rep << "\ncausal tracing: " << spans.size() << " spans, 1-in-"
-                << opt.span_sample << " sampling over " << roots
-                << " roots, " << dropped << " dropped\n\n";
+                << opt.span_sample << " sampling over " << totals.root_decisions
+                << " roots, " << totals.dropped << " dropped\n\n";
       telemetry::print_trace_summaries(
           rep, telemetry::top_slowest(telemetry::stitch_traces(spans), opt.top_slowest));
     }
