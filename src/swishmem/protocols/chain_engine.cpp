@@ -3,10 +3,11 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "swishmem/runtime.hpp"
 
 namespace swish::shm {
 
-ChainEngine::ChainEngine(EngineHost& host, const char* proto_name) : ProtocolEngine(host) {
+ChainEngine::ChainEngine(ShmRuntime& host, const char* proto_name) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix(proto_name);
   stats_.writes_submitted = reg.counter(p + "writes_submitted");
@@ -113,13 +114,11 @@ void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, Write
   pw.release = std::move(release);
   pw.submit_time = host_.sw().simulator().now();
   pw.trace = trace_origin("chain_write", pw.ops.front().space, pw.ops.front().key);
-  if (obs_ != nullptr) {
-    // Commit-at-origin for lag accounting is the submit: each chain member
-    // is one expected apply (the writer re-counts itself if in the chain).
-    const auto expected =
-        static_cast<std::uint32_t>(host_.chain_for(pw.ops.front().space).chain.size());
-    for (const auto& op : pw.ops) obs_->on_commit(op.space, op.key, id, host_.self(), expected);
-  }
+  // Commit-at-origin for lag accounting is the submit: each chain member is
+  // one expected apply (the writer re-counts itself if in the chain).
+  const auto expected =
+      static_cast<std::uint32_t>(host_.chain_for(pw.ops.front().space).chain.size());
+  for (const auto& op : pw.ops) obs_.on_commit(op.space, op.key, id, host_.self(), expected);
   const telemetry::SpanContext tr = pw.trace;
   pending_writes_.emplace(id, std::move(pw));
   // The control plane buffers P' and issues the write request (§6.1).
@@ -225,10 +224,8 @@ void ChainEngine::head_process(pkt::WriteRequest msg) {
       if (head_assigned_.size() > 65536) head_assigned_.clear();
       head_assigned_.emplace(msg.write_id, msg.seqs);
       trace_point("chain_apply", msg.ops.front().space, msg.ops.front().key);
-      if (obs_ != nullptr) {
-        for (const auto& op : msg.ops) {
-          obs_->on_apply(op.space, op.key, msg.writer, msg.write_id, host_.self());
-        }
+      for (const auto& op : msg.ops) {
+        obs_.on_apply(op.space, op.key, msg.writer, msg.write_id, host_.self());
       }
     }
     const pkt::ChainConfig& chain = host_.chain_for(msg.ops.front().space);
@@ -271,10 +268,7 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
         sp.set_key_guard_seq(msg.ops[i].key, msg.seqs[i]);
         sp.set_key_pending(msg.ops[i].key);
         applied_any = true;
-        if (obs_ != nullptr) {
-          obs_->on_apply(msg.ops[i].space, msg.ops[i].key, msg.writer, msg.write_id,
-                         host_.self());
-        }
+        obs_.on_apply(msg.ops[i].space, msg.ops[i].key, msg.writer, msg.write_id, host_.self());
       }
       // seqs[i] <= guard: duplicate of an already-applied write; still forward
       // so downstream switches that missed it catch up.
@@ -393,7 +387,7 @@ ReadStatus ChainEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
     }
   }
   ++stats_.reads_local;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  obs_.on_read(space, key, host_.self());
   auto v = sp.read(key);
   if (!v) return ReadStatus::kMiss;
   value = *v;
@@ -411,44 +405,17 @@ std::optional<std::uint64_t> ChainEngine::read_lpm(std::uint32_t space, std::uin
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint32_t> ChainEngine::snapshot_space_ids(
-    std::optional<std::uint32_t> space_filter) const {
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-void ChainEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                   std::vector<SnapshotOp>& out) const {
-  for (const std::uint32_t id : snapshot_space_ids(space_filter)) {
-    const SroSpaceState& sp = *spaces_.at(id);
-    for (const auto& entry : sp.snapshot()) out.push_back({entry.op, entry.seq});
-  }
-}
-
 std::unique_ptr<SnapshotSource> ChainEngine::snapshot_source(
     std::optional<std::uint32_t> space_filter) {
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
-  for (const std::uint32_t id : snapshot_space_ids(space_filter)) {
-    SroSpaceState& sp = *spaces_.at(id);
-    if (sp.sparse_store() != nullptr) {
-      // CoW pin taken now: writes after this call never enter the stream's
-      // snapshot portion (the runtime's live tap carries them instead).
-      parts.push_back(make_pinned_source(
-          sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
-            op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
-            return true;  // tombstones stream too — they carry deletions
-          }));
-    } else {
-      std::vector<SnapshotOp> ops;
-      for (const auto& entry : sp.snapshot()) ops.push_back({entry.op, entry.seq});
-      parts.push_back(make_vector_source(std::move(ops)));
-    }
+  // Ascending space id: snapshot order must not depend on unordered_map
+  // iteration (determinism across runs).
+  std::vector<std::uint32_t> ids;
+  for (const auto& [id, sp] : spaces_) {
+    if (!space_filter || id == *space_filter) ids.push_back(id);
   }
+  std::sort(ids.begin(), ids.end());
+  std::vector<std::unique_ptr<SnapshotSource>> parts;
+  for (const std::uint32_t id : ids) parts.push_back(spaces_.at(id)->snapshot_source());
   return make_chained_source(std::move(parts));
 }
 
@@ -460,24 +427,6 @@ void ChainEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   // unconditional; guards advance monotonically.
   sp.apply(op.key, op.value, host_.sw().control_plane().token());
   if (seq > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, seq);
-}
-
-std::vector<ProtocolEngine::StatRow> ChainEngine::stat_rows() const {
-  return {
-      {"writes_submitted", stats_.writes_submitted},
-      {"writes_committed", stats_.writes_committed},
-      {"write_retries", stats_.write_retries},
-      {"writes_failed", stats_.writes_failed},
-      {"writes_rejected", stats_.writes_rejected},
-      {"chain_requests_seen", stats_.chain_requests_seen},
-      {"chain_gap_drops", stats_.chain_gap_drops},
-      {"chain_stale_epoch", stats_.chain_stale_epoch},
-      {"reads_local", stats_.reads_local},
-      {"reads_redirected", stats_.reads_redirected},
-      {"write_p99_ns", stats_.write_latency.p99()},
-      {"bytes_write", stats_.bytes_write},
-      {"bytes_redirect", stats_.bytes_redirect},
-  };
 }
 
 }  // namespace swish::shm

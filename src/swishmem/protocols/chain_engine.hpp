@@ -41,9 +41,8 @@ class ChainEngine : public ProtocolEngine {
     telemetry::Histo write_latency;
   };
 
-  /// `proto_name` ("sro" / "ero") names this engine's registry subtree; the
-  /// base class cannot call the name() virtual during construction.
-  ChainEngine(EngineHost& host, const char* proto_name);
+  /// `proto_name` ("sro" / "ero") names this engine's registry subtree.
+  ChainEngine(ShmRuntime& host, const char* proto_name);
 
   // -- ProtocolEngine ----------------------------------------------------------
   void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) override;
@@ -61,16 +60,9 @@ class ChainEngine : public ProtocolEngine {
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
   bool handle_message(const pkt::SwishMessage& msg) override;
 
-  void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                        std::vector<SnapshotOp>& out) const override;
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
-
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override {
-    return stats_.bytes_write + stats_.bytes_redirect;
-  }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
 
   // -- Introspection used by the runtime's legacy accessors/stats ---------------
   [[nodiscard]] const SroSpaceState* space_state(std::uint32_t id) const;
@@ -115,11 +107,6 @@ class ChainEngine : public ProtocolEngine {
   [[nodiscard]] SwitchId chain_successor(const pkt::ChainConfig& chain) const noexcept;
   [[nodiscard]] static bool chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept;
 
-  /// Hosted space ids matching `space_filter`, ascending — snapshot order
-  /// must not depend on unordered_map iteration (determinism across runs).
-  [[nodiscard]] std::vector<std::uint32_t> snapshot_space_ids(
-      std::optional<std::uint32_t> space_filter) const;
-
   std::unordered_map<std::uint32_t, std::unique_ptr<SroSpaceState>> spaces_;
   std::unordered_map<std::uint32_t, SpaceConfig> remote_spaces_;
 
@@ -137,11 +124,10 @@ class ChainEngine : public ProtocolEngine {
 /// redirect to the tail.
 class SroEngine final : public ChainEngine {
  public:
-  explicit SroEngine(EngineHost& host) : ChainEngine(host, "sro") {}
+  explicit SroEngine(ShmRuntime& host) : ChainEngine(host, "sro") {}
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kSRO;
   }
-  [[nodiscard]] const char* name() const noexcept override { return "sro"; }
 
  protected:
   [[nodiscard]] bool always_local() const noexcept override { return false; }
@@ -151,11 +137,10 @@ class SroEngine final : public ChainEngine {
 /// pending bits.
 class EroEngine final : public ChainEngine {
  public:
-  explicit EroEngine(EngineHost& host) : ChainEngine(host, "ero") {}
+  explicit EroEngine(ShmRuntime& host) : ChainEngine(host, "ero") {}
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kERO;
   }
-  [[nodiscard]] const char* name() const noexcept override { return "ero"; }
 
  protected:
   [[nodiscard]] bool always_local() const noexcept override { return true; }

@@ -22,7 +22,7 @@ SwitchId ballot_owner(std::uint64_t ballot) noexcept {
 
 }  // namespace
 
-ConsensusEngine::ConsensusEngine(EngineHost& host) : ProtocolEngine(host) {
+ConsensusEngine::ConsensusEngine(ShmRuntime& host) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("con");
   stats_.writes_submitted = reg.counter(p + "writes_submitted");
@@ -438,11 +438,9 @@ void ConsensusEngine::advance_commit() {
   // notified, and the recovery tap (if a stream is active) sees the commit.
   for (std::uint64_t slot = before + 1; slot <= committed_upto_; ++slot) {
     const LogEntry& entry = log_.at(slot);
-    if (obs_ != nullptr) {
-      const auto expected = static_cast<std::uint32_t>(members().size());
-      for (const auto& op : entry.ops) {
-        obs_->on_commit(op.space, op.key, slot, host_.self(), expected);
-      }
+    const auto expected = static_cast<std::uint32_t>(members().size());
+    for (const auto& op : entry.ops) {
+      obs_.on_commit(op.space, op.key, slot, host_.self(), expected);
     }
     if (!entry.ops.empty()) {
       trace_point("con_commit", entry.ops.front().space, entry.ops.front().key);
@@ -601,7 +599,7 @@ void ConsensusEngine::apply_entry(std::uint64_t slot, const LogEntry& entry) {
     // Guard seq = slot: snapshots carry the log position, so a recovery
     // stream replays into the same ordering domain.
     if (slot > sp.key_guard_seq(op.key)) sp.set_key_guard_seq(op.key, slot);
-    if (obs_ != nullptr) obs_->on_apply(op.space, op.key, coordinator_, slot, host_.self());
+    obs_.on_apply(op.space, op.key, coordinator_, slot, host_.self());
   }
   if (!entry.ops.empty()) {
     trace_point("con_apply", entry.ops.front().space, entry.ops.front().key);
@@ -633,7 +631,7 @@ ReadStatus ConsensusEngine::read(pisa::PacketContext* ctx, std::uint32_t space,
     }
   }
   ++stats_.reads_local;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  obs_.on_read(space, key, host_.self());
   auto v = it->second->read(key);
   if (!v) return ReadStatus::kMiss;
   value = *v;
@@ -651,42 +649,11 @@ std::optional<std::uint64_t> ConsensusEngine::read_lpm(std::uint32_t space, std:
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
 
-void ConsensusEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                       std::vector<SnapshotOp>& out) const {
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint32_t id : ids) {
-    const SroSpaceState& sp = *spaces_.at(id);
-    for (const auto& entry : sp.snapshot()) out.push_back({entry.op, entry.seq});
-  }
-}
-
 std::unique_ptr<SnapshotSource> ConsensusEngine::snapshot_source(
     std::optional<std::uint32_t> space_filter) {
-  std::vector<std::uint32_t> ids;
+  std::vector<std::unique_ptr<SnapshotSource>> parts;  // spaces_ is id-ordered
   for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
-  for (const std::uint32_t id : ids) {
-    SroSpaceState& sp = *spaces_.at(id);
-    if (sp.sparse_store() != nullptr) {
-      parts.push_back(make_pinned_source(
-          sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
-            op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
-            return true;  // tombstones stream too — they carry deletions
-          }));
-    } else {
-      std::vector<SnapshotOp> ops;
-      for (const auto& entry : sp.snapshot()) ops.push_back({entry.op, entry.seq});
-      parts.push_back(make_vector_source(std::move(ops)));
-    }
+    if (!space_filter || id == *space_filter) parts.push_back(sp->snapshot_source());
   }
   return make_chained_source(std::move(parts));
 }
@@ -703,28 +670,6 @@ void ConsensusEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   // absolute values would be idempotent, but the bandwidth is wasted).
   applied_upto_ = std::max(applied_upto_, seq);
   committed_upto_ = std::max(committed_upto_, seq);
-}
-
-std::vector<ProtocolEngine::StatRow> ConsensusEngine::stat_rows() const {
-  return {
-      {"writes_submitted", stats_.writes_submitted},
-      {"writes_committed", stats_.writes_committed},
-      {"writes_failed", stats_.writes_failed},
-      {"writes_rejected", stats_.writes_rejected},
-      {"forwards_sent", stats_.forwards_sent},
-      {"forward_retries", stats_.forward_retries},
-      {"accepts_seen", stats_.accepts_seen},
-      {"stale_ballot_drops", stats_.stale_ballot_drops},
-      {"slots_applied", stats_.slots_applied},
-      {"repair_resends", stats_.repair_resends},
-      {"lease_renewals", stats_.lease_renewals},
-      {"elections_started", stats_.elections_started},
-      {"elections_completed", stats_.elections_completed},
-      {"reads_local", stats_.reads_local},
-      {"reads_redirected", stats_.reads_redirected},
-      {"commit_p99_ns", stats_.commit_latency.p99()},
-      {"bytes", stats_.bytes},
-  };
 }
 
 }  // namespace swish::shm

@@ -34,6 +34,7 @@
 #include <set>
 
 #include "swishmem/protocols/engine.hpp"
+#include "swishmem/runtime.hpp"
 #include "swishmem/spaces.hpp"
 
 namespace swish::shm {
@@ -61,12 +62,11 @@ class ConsensusEngine final : public ProtocolEngine {
     telemetry::Histo commit_latency;       ///< submit -> release at the writer
   };
 
-  explicit ConsensusEngine(EngineHost& host);
+  explicit ConsensusEngine(ShmRuntime& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kCON;
   }
-  [[nodiscard]] const char* name() const noexcept override { return "con"; }
 
   void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) override;
   [[nodiscard]] bool hosts_space(std::uint32_t space) const noexcept override;
@@ -85,12 +85,7 @@ class ConsensusEngine final : public ProtocolEngine {
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override;
-  void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                        std::vector<SnapshotOp>& out) const override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
-
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
 
   // -- Introspection (tests, tools) ---------------------------------------------
   [[nodiscard]] const SroSpaceState* space_state(std::uint32_t id) const;

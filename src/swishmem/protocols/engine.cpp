@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "pisa/switch.hpp"
+#include "swishmem/runtime.hpp"
 
 namespace swish::shm {
 namespace {
@@ -101,6 +101,20 @@ std::unique_ptr<SnapshotSource> make_chained_source(
   return std::make_unique<ChainedSnapshotSource>(std::move(sources));
 }
 
+ActiveTraceScope::ActiveTraceScope(ShmRuntime& host, const telemetry::SpanContext& ctx) noexcept
+    : host_(host), saved_(host.active_trace()) {
+  host_.set_active_trace(ctx);
+}
+
+ActiveTraceScope::~ActiveTraceScope() { host_.set_active_trace(saved_); }
+
+ProtocolEngine::ProtocolEngine(ShmRuntime& host)
+    : host_(host),
+      obs_(host.sw().simulator().observatory()),
+      self_(host.self()),
+      spans_(host.sw().spans()),
+      active_ctx_(host.active_trace()) {}
+
 telemetry::MetricsRegistry& ProtocolEngine::host_metrics() const {
   return host_.sw().simulator().metrics();
 }
@@ -154,12 +168,6 @@ bool ProtocolEngine::update(std::uint32_t space, std::uint64_t key, std::int64_t
   return false;
 }
 
-void ProtocolEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                      std::vector<SnapshotOp>& out) const {
-  (void)space_filter;
-  (void)out;
-}
-
 void ProtocolEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
   (void)op;
   (void)seq;
@@ -173,9 +181,8 @@ std::optional<std::uint64_t> ProtocolEngine::read_lpm(std::uint32_t space, std::
 
 std::unique_ptr<SnapshotSource> ProtocolEngine::snapshot_source(
     std::optional<std::uint32_t> space_filter) {
-  std::vector<SnapshotOp> ops;
-  collect_snapshot(space_filter, ops);
-  return make_vector_source(std::move(ops));
+  (void)space_filter;
+  return make_vector_source({});
 }
 
 }  // namespace swish::shm

@@ -1,9 +1,15 @@
 // The pluggable consistency-protocol engine seam (§3, §6): every register
 // class of the paper's access-pattern taxonomy is one ProtocolEngine
-// implementation living in this directory. ShmRuntime is reduced to packet
-// classification, engine lookup, and fabric I/O; everything protocol-specific
-// — space storage, wire-message handling, periodic work, recovery hooks, and
-// per-protocol statistics — sits behind this interface.
+// implementation living in this directory, and ProtocolEngine is the only
+// seam between the engines and ShmRuntime. The runtime keeps packet
+// classification, engine lookup, fabric I/O, and the recovery-stream
+// transport; everything protocol-specific — space storage, wire-message
+// handling, periodic work, recovery hooks, and per-protocol counters (in the
+// metrics registry under shm.sw<id>.<proto>.*) — sits behind this interface.
+// Engines hold the ShmRuntime that created them and call it directly for
+// transport, configuration, timers, drop reports and the active trace. This
+// header only forward-declares ShmRuntime; the inline trace helpers work from
+// members cached at construction.
 //
 // Adding a protocol is a one-directory change: implement ProtocolEngine,
 // declare the wire message types it consumes (the runtime builds a
@@ -16,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -24,17 +29,17 @@
 #include "packet/swish_wire.hpp"
 #include "swishmem/config.hpp"
 #include "swishmem/store/ordered_index.hpp"
-#include "telemetry/drop.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observatory.hpp"
 #include "telemetry/span.hpp"
 
 namespace swish::pisa {
-class Switch;
 struct PacketContext;
 }  // namespace swish::pisa
 
 namespace swish::shm {
+
+class ShmRuntime;
 
 /// Outcome of a read during packet processing.
 enum class ReadStatus {
@@ -88,89 +93,19 @@ std::unique_ptr<SnapshotSource> make_pinned_source(
 std::unique_ptr<SnapshotSource> make_chained_source(
     std::vector<std::unique_ptr<SnapshotSource>> sources);
 
-/// Services the runtime provides to its engines: transport with byte
-/// accounting, configuration pushed by the controller, timers, and hooks
-/// back into the NF / the recovery stream. Implemented by ShmRuntime.
-class EngineHost {
- public:
-  virtual ~EngineHost() = default;
-
-  [[nodiscard]] virtual pisa::Switch& sw() noexcept = 0;
-  [[nodiscard]] virtual const RuntimeConfig& config() const noexcept = 0;
-  [[nodiscard]] virtual SwitchId self() const noexcept = 0;
-
-  /// Chain governing a space (its own chain when partitioned, §9).
-  [[nodiscard]] virtual const pkt::ChainConfig& chain_for(std::uint32_t space) const noexcept = 0;
-  [[nodiscard]] virtual const pkt::GroupConfig& group() const noexcept = 0;
-  /// Replica set passed to add_space (the full deployment by default).
-  [[nodiscard]] virtual const std::vector<SwitchId>& deployment() const noexcept = 0;
-
-  /// Sends one protocol message into the fabric; returns the wire bytes so
-  /// the engine can account its own protocol bandwidth.
-  virtual std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) = 0;
-
-  /// Registers a periodic background task (packet-generator driven); valid
-  /// from ProtocolEngine::start().
-  virtual void every(TimeNs period, std::function<void()> tick) = 0;
-
-  /// True while this switch is serving a redirected read at the tail (the
-  /// tail's state is authoritative, §6.1).
-  [[nodiscard]] virtual bool authoritative() const noexcept = 0;
-
-  /// Feeds a committed write into the active recovery stream, if any (the
-  /// donor-side tap of §6.3).
-  virtual void recovery_tap(const std::vector<pkt::WriteOp>& ops,
-                            const std::vector<SeqNum>& seqs) = 0;
-
-  /// Mirror-on-drop: reports a protocol-level reject/abandon (queue
-  /// overflow, retry exhaustion, quorum loss) into the simulation's typed
-  /// drop ring. `detail` is site-specific (usually the key or peer involved).
-  /// Defaulted to a no-op: external hosts need no forensics.
-  virtual void report_drop(telemetry::DropReason reason, std::uint64_t detail) {
-    (void)reason;
-    (void)detail;
-  }
-
-  // -- Observability (defaulted: external hosts need no tracing) ----------------
-  /// Span recorder of the host switch, or nullptr when causal tracing is
-  /// unavailable. Engines cache the pointer; a disabled recorder is one
-  /// branch per call, so they need not re-check enablement.
-  [[nodiscard]] virtual telemetry::SpanRecorder* spans() noexcept { return nullptr; }
-  /// Consistency-lag observatory, or nullptr when unavailable.
-  [[nodiscard]] virtual telemetry::ConsistencyObservatory* observatory() noexcept {
-    return nullptr;
-  }
-  /// Trace context of the causal chain currently executing on this switch —
-  /// set by the runtime around message dispatch and by engines around
-  /// deferred work (control-plane closures, timers). send() attaches it to
-  /// outgoing messages.
-  [[nodiscard]] virtual telemetry::SpanContext active_trace() const noexcept { return {}; }
-  virtual void set_active_trace(const telemetry::SpanContext&) noexcept {}
-  /// Stable pointer to the host's active-trace slot, or nullptr when the
-  /// host keeps none. Engines cache it at construction so the frequent
-  /// "tracing on but this chain unsampled" check is two loads instead of a
-  /// virtual call per datapath operation (bench_throughput --overhead-gate).
-  [[nodiscard]] virtual const telemetry::SpanContext* active_trace_ptr() const noexcept {
-    return nullptr;
-  }
-};
-
-/// RAII guard installing `ctx` as the host's active trace context for the
+/// RAII guard installing `ctx` as the runtime's active trace context for the
 /// current scope; restores the previous context on exit. Used by engines to
 /// re-enter a causal chain from deferred work (control-plane submissions,
 /// retry timers, flush buffers).
 class ActiveTraceScope {
  public:
-  ActiveTraceScope(EngineHost& host, const telemetry::SpanContext& ctx) noexcept
-      : host_(host), saved_(host.active_trace()) {
-    host_.set_active_trace(ctx);
-  }
-  ~ActiveTraceScope() { host_.set_active_trace(saved_); }
+  ActiveTraceScope(ShmRuntime& host, const telemetry::SpanContext& ctx) noexcept;
+  ~ActiveTraceScope();
   ActiveTraceScope(const ActiveTraceScope&) = delete;
   ActiveTraceScope& operator=(const ActiveTraceScope&) = delete;
 
  private:
-  EngineHost& host_;
+  ShmRuntime& host_;
   telemetry::SpanContext saved_;
 };
 
@@ -178,20 +113,12 @@ class ActiveTraceScope {
 /// protocol state machine. One instance per (runtime, class-in-use).
 class ProtocolEngine {
  public:
-  /// (label, value) rows for per-engine reporting (swish_sim exit summary).
-  using StatRow = std::pair<std::string, std::uint64_t>;
-
-  explicit ProtocolEngine(EngineHost& host)
-      : host_(host),
-        obs_(host.observatory()),
-        spans_(host.spans()),
-        active_ctx_(host.active_trace_ptr()) {}
+  explicit ProtocolEngine(ShmRuntime& host);
   virtual ~ProtocolEngine() = default;
   ProtocolEngine(const ProtocolEngine&) = delete;
   ProtocolEngine& operator=(const ProtocolEngine&) = delete;
 
   [[nodiscard]] virtual ConsistencyClass cls() const noexcept = 0;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
 
   // -- Spaces -----------------------------------------------------------------
   /// Throws std::invalid_argument for a space it cannot serve (check_servable).
@@ -247,23 +174,13 @@ class ProtocolEngine {
   virtual bool handle_message(const pkt::SwishMessage& msg) = 0;
 
   // -- Recovery (§6.3) ----------------------------------------------------------
-  /// Donor side: appends this engine's replayable state to a snapshot.
-  virtual void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                std::vector<SnapshotOp>& out) const;
-  /// Donor side, streaming: a source whose content is frozen at this call.
-  /// The default eagerly collects (exact for dense spaces); engines hosting
-  /// sparse spaces override to pin CoW snapshots instead.
+  /// Donor side: a source whose content is frozen at this call — the hosted
+  /// spaces' own sources chained in ascending space id. The default (no
+  /// replayable state) is empty.
   [[nodiscard]] virtual std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter);
   /// Target side: applies one replayed snapshot/live-tap op in stream order.
   virtual void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq);
-
-  // -- Introspection -------------------------------------------------------------
-  /// Wire bytes of every message this engine has sent (bandwidth accounting
-  /// lives behind the engine interface; the runtime reconciles totals).
-  [[nodiscard]] virtual std::uint64_t protocol_bytes() const noexcept = 0;
-  /// Engine-specific counters for reporting.
-  [[nodiscard]] virtual std::vector<StatRow> stat_rows() const = 0;
 
  protected:
   /// Metrics registry of the simulation this engine's switch runs in.
@@ -282,13 +199,13 @@ class ProtocolEngine {
   /// Inline: the enabled-but-unsampled steady state must cost only a few
   /// loads per write (gated at 2% by bench_throughput --overhead-gate).
   telemetry::SpanContext trace_origin(const char* name, std::uint32_t space, std::uint64_t key) {
-    if (spans_ == nullptr || !spans_->enabled()) return {};
-    const telemetry::SpanContext parent = current_trace();
-    if (parent.sampled()) return spans_->record_instant(parent, host_.self(), name, space, key);
-    const telemetry::SpanContext ctx = spans_->maybe_start_trace();
+    if (!spans_.enabled()) return {};
+    const telemetry::SpanContext parent = active_ctx_;
+    if (parent.sampled()) return spans_.record_instant(parent, self_, name, space, key);
+    const telemetry::SpanContext ctx = spans_.maybe_start_trace();
     if (!ctx.sampled()) return {};
-    const TimeNs t = spans_->now();
-    spans_->record({ctx.trace_id, ctx.span_id, 0, host_.self(), name, t, t, 0, space, key});
+    const TimeNs t = spans_.now();
+    spans_.record({ctx.trace_id, ctx.span_id, 0, self_, name, t, t, 0, space, key});
     return ctx;
   }
 
@@ -297,38 +214,37 @@ class ProtocolEngine {
   /// returns an unsampled context when tracing is off, a trace is already
   /// active, or root sampling skips this round.
   telemetry::SpanContext trace_root(const char* name) {
-    if (spans_ == nullptr || !spans_->enabled() || current_trace().sampled()) return {};
-    const telemetry::SpanContext ctx = spans_->maybe_start_trace();
+    if (!spans_.enabled() || active_ctx_.sampled()) return {};
+    const telemetry::SpanContext ctx = spans_.maybe_start_trace();
     if (!ctx.sampled()) return {};
-    const TimeNs t = spans_->now();
-    spans_->record({ctx.trace_id, ctx.span_id, 0, host_.self(), name, t, t, 0, 0, 0});
+    const TimeNs t = spans_.now();
+    spans_.record({ctx.trace_id, ctx.span_id, 0, self_, name, t, t, 0, 0, 0});
     return ctx;
   }
 
   /// Records a point span continuing the active trace (e.g. a replica
   /// apply); returns the recorded context without changing the active trace.
   telemetry::SpanContext trace_point(const char* name, std::uint32_t space, std::uint64_t key) {
-    if (spans_ == nullptr || !spans_->enabled()) return {};
-    const telemetry::SpanContext parent = current_trace();
+    if (!spans_.enabled()) return {};
+    const telemetry::SpanContext parent = active_ctx_;
     if (!parent.sampled()) return {};
-    return spans_->record_instant(parent, host_.self(), name, space, key);
+    return spans_.record_instant(parent, self_, name, space, key);
   }
 
-  EngineHost& host_;
-  /// Consistency-lag observatory, cached at construction (nullptr for hosts
-  /// without one; a disabled observatory early-returns on every call).
-  telemetry::ConsistencyObservatory* obs_ = nullptr;
+  ShmRuntime& host_;
+  /// Consistency-lag observatory of the switch's simulator (a disabled
+  /// observatory early-returns on every call).
+  telemetry::ConsistencyObservatory& obs_;
 
  private:
-  /// Host's active trace context via the cached slot pointer when available.
-  [[nodiscard]] telemetry::SpanContext current_trace() const noexcept {
-    return active_ctx_ != nullptr ? *active_ctx_ : host_.active_trace();
-  }
-
-  /// Span recorder and active-trace slot, cached at construction (both have
-  /// stable addresses for the lifetime of the simulation).
-  telemetry::SpanRecorder* spans_ = nullptr;
-  const telemetry::SpanContext* active_ctx_ = nullptr;
+  /// Cached at construction so the inline trace helpers above need no
+  /// complete ShmRuntime: the switch id, its span recorder, and the
+  /// runtime's active-trace slot (stable addresses for the simulation's
+  /// lifetime; reading the slot directly keeps the "tracing on but this
+  /// chain unsampled" check to two loads, bench_throughput --overhead-gate).
+  SwitchId self_;
+  telemetry::SpanRecorder& spans_;
+  const telemetry::SpanContext& active_ctx_;
 };
 
 /// Install check every engine's add_space runs: throws std::invalid_argument,
@@ -338,6 +254,6 @@ void check_servable(const SpaceConfig& config);
 
 /// Creates the engine implementing `cls` (the only place that maps a
 /// consistency class to its protocol).
-std::unique_ptr<ProtocolEngine> make_engine(ConsistencyClass cls, EngineHost& host);
+std::unique_ptr<ProtocolEngine> make_engine(ConsistencyClass cls, ShmRuntime& host);
 
 }  // namespace swish::shm

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 
+#include "swishmem/runtime.hpp"
 #include "swishmem/version.hpp"
 
 namespace swish::shm {
 
-EwoEngine::EwoEngine(EngineHost& host)
+EwoEngine::EwoEngine(ShmRuntime& host)
     : ProtocolEngine(host), rng_(0xe40 ^ (host.self() * 0x9e3779b9ULL)) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("ewo");
@@ -48,7 +49,7 @@ bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
   const auto* update = std::get_if<pkt::EwoUpdate>(&msg);
   if (!update) return false;
   ++stats_.updates_received;
-  const bool observe = obs_ != nullptr && obs_->enabled();
+  const bool observe = obs_.enabled();
   bool merged_any = false;
   for (const auto& entry : update->entries) {
     auto it = spaces_.find(entry.space);
@@ -78,7 +79,7 @@ bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
         origin = static_cast<NodeId>(entry.version >> 1);
         ident = entry.value;
       }
-      obs_->on_apply(entry.space, entry.key, origin, ident, host_.self());
+      obs_.on_apply(entry.space, entry.key, origin, ident, host_.self());
     }
   }
   if (merged_any && !update->entries.empty()) {
@@ -97,7 +98,7 @@ ReadStatus EwoEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std::u
   auto it = spaces_.find(space);
   if (it == spaces_.end()) return ReadStatus::kMiss;
   ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  obs_.on_read(space, key, host_.self());
   const std::optional<std::uint64_t> v = it->second->read(key);
   if (!v) return ReadStatus::kMiss;
   value = *v;
@@ -163,16 +164,14 @@ void EwoEngine::write_lww(EwoSpaceState& st, std::uint32_t space, std::uint64_t 
   const RawVersion version = Version::pack(ts, host_.self());
   st.write_local(key, value, version);
   const telemetry::SpanContext tr = trace_origin("ewo_write", space, key);
-  if (obs_ != nullptr && obs_->enabled()) {
-    obs_->on_commit(space, key, version, host_.self(), expected_replicas());
-  }
+  if (obs_.enabled()) obs_.on_commit(space, key, version, host_.self(), expected_replicas());
   if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
 }
 
 void EwoEngine::publish_crdt(const EwoSpaceState& st, std::uint32_t space, std::uint64_t key,
                              const char* span_name) {
   const telemetry::SpanContext tr = trace_origin(span_name, space, key);
-  if (obs_ != nullptr && obs_->enabled()) {
+  if (obs_.enabled()) {
     // The identity the observatory will see back in on_apply: the value of
     // this switch's own slot (monotone). collect_own_entries gives exactly
     // the entries we would mirror.
@@ -180,7 +179,7 @@ void EwoEngine::publish_crdt(const EwoSpaceState& st, std::uint32_t space, std::
     st.collect_own_entries(key, observe_scratch_);
     std::uint64_t ident = 0;
     for (const auto& e : observe_scratch_) ident = std::max(ident, e.value);
-    obs_->on_commit(space, key, ident, host_.self(), expected_replicas());
+    obs_.on_commit(space, key, ident, host_.self(), expected_replicas());
   }
   if (st.config().mirror_writes) mirror_enqueue(st, key, tr);
 }
@@ -282,19 +281,6 @@ void EwoEngine::periodic_sync() {
 const EwoSpaceState* EwoEngine::space_state(std::uint32_t id) const {
   auto it = spaces_.find(id);
   return it == spaces_.end() ? nullptr : it->second.get();
-}
-
-std::vector<ProtocolEngine::StatRow> EwoEngine::stat_rows() const {
-  return {
-      {"reads", stats_.reads},
-      {"local_writes", stats_.local_writes},
-      {"updates_sent", stats_.updates_sent},
-      {"updates_received", stats_.updates_received},
-      {"entries_merged", stats_.entries_merged},
-      {"sync_rounds", stats_.sync_rounds},
-      {"sync_entries_sent", stats_.sync_entries_sent},
-      {"bytes", stats_.bytes},
-  };
 }
 
 }  // namespace swish::shm

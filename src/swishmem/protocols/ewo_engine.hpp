@@ -28,12 +28,11 @@ class EwoEngine final : public ProtocolEngine {
     telemetry::Counter bytes;  ///< EwoUpdate (mirror + sync)
   };
 
-  explicit EwoEngine(EngineHost& host);
+  explicit EwoEngine(ShmRuntime& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kEWO;
   }
-  [[nodiscard]] const char* name() const noexcept override { return "ewo"; }
 
   void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) override;
   [[nodiscard]] bool hosts_space(std::uint32_t space) const noexcept override;
@@ -50,9 +49,6 @@ class EwoEngine final : public ProtocolEngine {
 
   [[nodiscard]] std::vector<pkt::MsgType> message_types() const override;
   bool handle_message(const pkt::SwishMessage& msg) override;
-
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
 
   [[nodiscard]] const EwoSpaceState* space_state(std::uint32_t id) const;
   [[nodiscard]] const Stats& ewo_stats() const noexcept { return stats_; }

@@ -159,19 +159,21 @@ std::vector<std::uint64_t> OwnSpaceState::take_dirty() {
   return out;
 }
 
-std::vector<std::uint64_t> OwnSpaceState::live_slots() const {
-  std::vector<std::uint64_t> out;
+std::unique_ptr<SnapshotSource> OwnSpaceState::snapshot_source() const {
+  const std::uint32_t id = cfg_.id;
   if (store_) {
-    store_->for_each([&](const store::Entry& e) {
-      if (e.version != 0) out.push_back(e.key);
+    return make_pinned_source(store_->pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
+      if (e.version == 0) return false;  // dir-only entry, nothing to replay
+      op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.version)};
       return true;
     });
-    return out;
   }
+  std::vector<SnapshotOp> out;
   for (std::size_t s = 0; s < cfg_.size; ++s) {
-    if (versions_->read(static_cast<RegisterIndex>(s)) != 0) out.push_back(s);
+    const std::uint64_t version = versions_->read(static_cast<RegisterIndex>(s));
+    if (version != 0) out.push_back({pkt::WriteOp{id, s, value(s)}, version});
   }
-  return out;
+  return make_vector_source(std::move(out));
 }
 
 std::vector<std::uint64_t> OwnSpaceState::owned_slots() const {

@@ -13,7 +13,7 @@
 //
 // SpaceKind::kSparse folds all four arrays into one ordered CoW index entry
 // per live key: value/version in the entry, the owned bit in flags, the
-// directory owner (+1) in aux, and the scans (live_slots / owned_slots /
+// directory owner (+1) in aux, and the scans (snapshot_source / owned_slots /
 // dir_slots_owned_outside) walk live entries in key order instead of the
 // full array. Either way a key is its own slot: ownership is per key.
 #pragma once
@@ -25,6 +25,7 @@
 
 #include "pisa/switch.hpp"
 #include "swishmem/config.hpp"
+#include "swishmem/protocols/engine.hpp"
 #include "swishmem/store/store_space.hpp"
 
 namespace swish::shm {
@@ -73,20 +74,15 @@ class OwnSpaceState {
   /// Drains the dirty-key set accumulated by owner_write.
   [[nodiscard]] std::vector<std::uint64_t> take_dirty();
 
-  /// All slots with a nonzero version (donor snapshot, §6.3).
-  [[nodiscard]] std::vector<std::uint64_t> live_slots() const;
-
   /// All slots this switch currently owns.
   [[nodiscard]] std::vector<std::uint64_t> owned_slots() const;
 
+  /// Donor snapshot (§6.3): every written key (nonzero version) in key
+  /// order as {value, seq = version}, frozen at this call. A sparse space
+  /// pins an O(1) CoW view drained lazily; a dense one collects eagerly.
+  [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source() const;
+
   void reset();
-
-  [[nodiscard]] const store::StoreSpace* sparse_store() const noexcept { return store_; }
-
-  /// Sparse spaces: O(1) CoW pin (donor streaming); invalid for dense.
-  [[nodiscard]] store::OrderedIndex::Snapshot pin_snapshot() const {
-    return store_ != nullptr ? store_->pin_snapshot() : store::OrderedIndex::Snapshot{};
-  }
 
  private:
   SpaceConfig cfg_;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <map>
 
+#include "swishmem/runtime.hpp"
+
 namespace swish::shm {
 
-OwnerEngine::OwnerEngine(EngineHost& host) : ProtocolEngine(host) {
+OwnerEngine::OwnerEngine(ShmRuntime& host) : ProtocolEngine(host) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("own");
   stats_.reads = reg.counter(p + "reads");
@@ -141,7 +143,7 @@ ReadStatus OwnerEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
   auto it = spaces_.find(space);
   if (it == spaces_.end()) return ReadStatus::kMiss;
   ++stats_.reads;
-  if (obs_ != nullptr) obs_->on_read(space, key, host_.self());
+  obs_.on_read(space, key, host_.self());
   const std::optional<std::uint64_t> v = it->second->read(key);
   if (!v) return ReadStatus::kMiss;
   value = *v;
@@ -200,8 +202,8 @@ void OwnerEngine::apply_owned(OwnSpaceState& st, std::uint32_t space, std::uint6
   // OWN propagates owner writes to exactly one replica — the key's home —
   // via the periodic backup flush (or the grant relinquish path). Self-homed
   // keys have no remote copy to lag behind.
-  if (obs_ != nullptr && obs_->enabled() && home_of(space, key) != host_.self()) {
-    obs_->on_commit(space, key, st.version(key), host_.self(), 1);
+  if (obs_.enabled() && home_of(space, key) != host_.self()) {
+    obs_.on_commit(space, key, st.version(key), host_.self(), 1);
   }
 }
 
@@ -379,11 +381,9 @@ void OwnerEngine::on_own_grant(const pkt::OwnGrant& msg) {
       // The relinquished value folding into the home backup IS the (single)
       // replica apply for the old owner's in-flight writes: close their
       // propagation records here so migration does not leak inflight entries.
-      if (obs_ != nullptr) {
-        const SwitchId prev_owner = st.dir_owner(msg.key);
-        if (prev_owner != kInvalidNode && prev_owner != host_.self()) {
-          obs_->on_apply(msg.space, msg.key, prev_owner, msg.version, host_.self());
-        }
+      const SwitchId prev_owner = st.dir_owner(msg.key);
+      if (prev_owner != kInvalidNode && prev_owner != host_.self()) {
+        obs_.on_apply(msg.space, msg.key, prev_owner, msg.version, host_.self());
       }
       st.store(msg.key, msg.value, msg.version);
     }
@@ -455,9 +455,7 @@ void OwnerEngine::on_own_update(const pkt::OwnUpdate& msg) {
     // The observatory subsumes older idents and deduplicates replicas, so
     // reporting every entry (merged or not) is safe and closes records whose
     // value reached us through another path first.
-    if (obs_ != nullptr) {
-      obs_->on_apply(entry.space, entry.key, msg.owner, entry.version, host_.self());
-    }
+    obs_.on_apply(entry.space, entry.key, msg.owner, entry.version, host_.self());
     if (msg.claim && home_of(entry.space, entry.key) == host_.self()) {
       // Directory self-healing: adopt the claimant when the directory has no
       // owner on record. A conflicting record wins — grants are authoritative.
@@ -473,49 +471,11 @@ void OwnerEngine::on_own_update(const pkt::OwnUpdate& msg) {
 // Recovery (§6.3)
 // ---------------------------------------------------------------------------
 
-void OwnerEngine::collect_snapshot(std::optional<std::uint32_t> space_filter,
-                                   std::vector<SnapshotOp>& out) const {
-  // Ascending space id, ascending slot/key: snapshot order must not depend
-  // on unordered_map iteration (determinism across runs and shard counts).
-  std::vector<std::uint32_t> ids;
-  for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint32_t id : ids) {
-    const OwnSpaceState& sp = *spaces_.at(id);
-    for (std::uint64_t slot : sp.live_slots()) {
-      out.push_back({pkt::WriteOp{id, slot, sp.value(slot)}, sp.version(slot)});
-    }
-  }
-}
-
 std::unique_ptr<SnapshotSource> OwnerEngine::snapshot_source(
     std::optional<std::uint32_t> space_filter) {
-  std::vector<std::uint32_t> ids;
+  std::vector<std::unique_ptr<SnapshotSource>> parts;  // spaces_ is id-ordered
   for (const auto& [id, sp] : spaces_) {
-    if (space_filter && id != *space_filter) continue;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  std::vector<std::unique_ptr<SnapshotSource>> parts;
-  for (const std::uint32_t id : ids) {
-    OwnSpaceState& sp = *spaces_.at(id);
-    if (sp.sparse_store() != nullptr) {
-      parts.push_back(make_pinned_source(
-          sp.pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
-            if (e.version == 0) return false;  // dir-only entry, nothing to replay
-            op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.version)};
-            return true;
-          }));
-    } else {
-      std::vector<SnapshotOp> ops;
-      for (std::uint64_t slot : sp.live_slots()) {
-        ops.push_back({pkt::WriteOp{id, slot, sp.value(slot)}, sp.version(slot)});
-      }
-      parts.push_back(make_vector_source(std::move(ops)));
-    }
+    if (!space_filter || id == *space_filter) parts.push_back(sp->snapshot_source());
   }
   return make_chained_source(std::move(parts));
 }
@@ -531,23 +491,6 @@ void OwnerEngine::apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) {
 const OwnSpaceState* OwnerEngine::space_state(std::uint32_t id) const {
   auto it = spaces_.find(id);
   return it == spaces_.end() ? nullptr : it->second.get();
-}
-
-std::vector<ProtocolEngine::StatRow> OwnerEngine::stat_rows() const {
-  return {
-      {"reads", stats_.reads},
-      {"local_writes", stats_.local_writes},
-      {"acquisitions_started", stats_.acquisitions_started},
-      {"acquisitions_completed", stats_.acquisitions_completed},
-      {"acquisitions_failed", stats_.acquisitions_failed},
-      {"acquisition_retries", stats_.acquisition_retries},
-      {"revokes_served", stats_.revokes_served},
-      {"grants_issued", stats_.grants_issued},
-      {"queue_rejected", stats_.queue_rejected},
-      {"backup_entries_sent", stats_.backup_entries_sent},
-      {"backup_entries_merged", stats_.backup_entries_merged},
-      {"bytes", stats_.bytes},
-  };
 }
 
 }  // namespace swish::shm

@@ -40,12 +40,11 @@ class OwnerEngine final : public ProtocolEngine {
     telemetry::Counter bytes;  ///< OwnRequest + OwnGrant + OwnUpdate
   };
 
-  explicit OwnerEngine(EngineHost& host);
+  explicit OwnerEngine(ShmRuntime& host);
 
   [[nodiscard]] ConsistencyClass cls() const noexcept override {
     return ConsistencyClass::kOWN;
   }
-  [[nodiscard]] const char* name() const noexcept override { return "own"; }
 
   void add_space(const SpaceConfig& config, const std::vector<SwitchId>& replicas) override;
   [[nodiscard]] bool hosts_space(std::uint32_t space) const noexcept override;
@@ -64,12 +63,7 @@ class OwnerEngine final : public ProtocolEngine {
 
   [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source(
       std::optional<std::uint32_t> space_filter) override;
-  void collect_snapshot(std::optional<std::uint32_t> space_filter,
-                        std::vector<SnapshotOp>& out) const override;
   void apply_recovery_op(const pkt::WriteOp& op, SeqNum seq) override;
-
-  [[nodiscard]] std::uint64_t protocol_bytes() const noexcept override { return stats_.bytes; }
-  [[nodiscard]] std::vector<StatRow> stat_rows() const override;
 
   // -- Introspection (tests, tools) ---------------------------------------------
   [[nodiscard]] const OwnSpaceState* space_state(std::uint32_t id) const;

@@ -296,7 +296,7 @@ bool ShmRuntime::is_tail() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// Transport (EngineHost)
+// Transport (engine services)
 // ---------------------------------------------------------------------------
 
 pkt::Packet ShmRuntime::wrap(SwitchId dst, const pkt::SwishMessage& msg,

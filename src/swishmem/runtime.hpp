@@ -31,13 +31,14 @@
 #include "swishmem/config.hpp"
 #include "swishmem/protocols/engine.hpp"
 #include "swishmem/spaces.hpp"
+#include "telemetry/drop.hpp"
 
 namespace swish::shm {
 
 class OwnSpaceState;
 class SwimAgent;
 
-class ShmRuntime final : public EngineHost {
+class ShmRuntime {
  public:
   /// Aggregated per-switch statistics. The counters live inside the protocol
   /// engines (each engine owns its protocol's accounting); this legacy view
@@ -195,39 +196,44 @@ class ShmRuntime final : public EngineHost {
   /// Wipes all replicated state (a replacement switch boots empty).
   void reset_state();
 
-  // -- EngineHost (services the engines call back into) --------------------------
+  // -- Engine services (what the protocol engines call back into) ---------------
 
-  [[nodiscard]] pisa::Switch& sw() noexcept override { return sw_; }
-  [[nodiscard]] const RuntimeConfig& config() const noexcept override { return config_; }
-  [[nodiscard]] SwitchId self() const noexcept override { return sw_.id(); }
-  [[nodiscard]] const pkt::ChainConfig& chain_for(std::uint32_t space) const noexcept override;
-  [[nodiscard]] const pkt::GroupConfig& group() const noexcept override { return group_; }
-  [[nodiscard]] const std::vector<SwitchId>& deployment() const noexcept override {
-    return deployment_;
-  }
-  std::size_t send(SwitchId dst, const pkt::SwishMessage& msg) override;
+  [[nodiscard]] pisa::Switch& sw() noexcept { return sw_; }
+  [[nodiscard]] const RuntimeConfig& config() const noexcept { return config_; }
+  [[nodiscard]] SwitchId self() const noexcept { return sw_.id(); }
+  /// Chain governing a space (its own chain when partitioned, §9).
+  [[nodiscard]] const pkt::ChainConfig& chain_for(std::uint32_t space) const noexcept;
+  [[nodiscard]] const pkt::GroupConfig& group() const noexcept { return group_; }
+  /// Replica set passed to add_space (the full deployment by default).
+  [[nodiscard]] const std::vector<SwitchId>& deployment() const noexcept { return deployment_; }
+  /// Sends one protocol message into the fabric; returns its wire bytes so
+  /// the engine can account its own protocol bandwidth.
+  std::size_t send(SwitchId dst, const pkt::SwishMessage& msg);
   /// send() plus control-class byte accounting (heartbeats, SWIM traffic);
   /// keeps the per-class counters summing to bytes_total.
   std::size_t send_control(SwitchId dst, const pkt::SwishMessage& msg);
-  void report_drop(telemetry::DropReason reason, std::uint64_t detail) override;
+  /// Mirror-on-drop: reports a protocol-level reject/abandon (queue
+  /// overflow, retry exhaustion, quorum loss) into the switch's typed drop
+  /// ring. `detail` is site-specific (usually the key or peer involved).
+  void report_drop(telemetry::DropReason reason, std::uint64_t detail);
   [[nodiscard]] NodeId controller() const noexcept { return controller_; }
-  void every(TimeNs period, std::function<void()> tick) override;
-  [[nodiscard]] bool authoritative() const noexcept override { return authoritative_; }
-  void recovery_tap(const std::vector<pkt::WriteOp>& ops,
-                    const std::vector<SeqNum>& seqs) override;
-  [[nodiscard]] telemetry::SpanRecorder* spans() noexcept override { return &sw_.spans(); }
-  [[nodiscard]] telemetry::ConsistencyObservatory* observatory() noexcept override {
-    return observatory_;
-  }
-  [[nodiscard]] telemetry::SpanContext active_trace() const noexcept override {
+  /// Registers a periodic background task (packet-generator driven); valid
+  /// from ProtocolEngine::start().
+  void every(TimeNs period, std::function<void()> tick);
+  /// True while this switch is serving a redirected read at the tail (the
+  /// tail's state is authoritative, §6.1).
+  [[nodiscard]] bool authoritative() const noexcept { return authoritative_; }
+  /// Feeds a committed write into the active recovery stream, if any (the
+  /// donor-side tap of §6.3).
+  void recovery_tap(const std::vector<pkt::WriteOp>& ops, const std::vector<SeqNum>& seqs);
+  /// Trace context of the causal chain currently executing on this switch —
+  /// set around message dispatch and, through ActiveTraceScope, around
+  /// deferred engine work. send() attaches it to outgoing messages. The
+  /// slot's address is stable; engines cache it.
+  [[nodiscard]] const telemetry::SpanContext& active_trace() const noexcept {
     return active_trace_;
   }
-  [[nodiscard]] const telemetry::SpanContext* active_trace_ptr() const noexcept override {
-    return &active_trace_;
-  }
-  void set_active_trace(const telemetry::SpanContext& ctx) noexcept override {
-    active_trace_ = ctx;
-  }
+  void set_active_trace(const telemetry::SpanContext& ctx) noexcept { active_trace_ = ctx; }
 
   // -- Introspection ------------------------------------------------------------
 

@@ -127,16 +127,6 @@ std::optional<std::uint64_t> SroSpaceState::read_lpm(std::uint64_t key) const {
   return e->value;
 }
 
-void SroSpaceState::read_range(
-    std::uint64_t lo, std::uint64_t hi,
-    const std::function<bool(std::uint64_t key, std::uint64_t value)>& fn) const {
-  if (!store_) return;
-  store_->range(lo, hi, [&fn](const store::Entry& e) {
-    if (e.value == kTombstone) return true;  // erased keys are not live
-    return fn(e.key, e.value);
-  });
-}
-
 void SroSpaceState::apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token) {
   if (store_) {
     // Tombstones stay as entries: the guard sequence must survive erasure
@@ -156,44 +146,6 @@ void SroSpaceState::apply(std::uint64_t key, std::uint64_t value, pisa::CpToken 
   }
   if (key >= values_->size()) return;  // malformed op: ignore
   values_->write(static_cast<RegisterIndex>(key), value);
-}
-
-SeqNum SroSpaceState::guard_seq(std::size_t slot) const {
-  if (store_) return key_guard_seq(static_cast<std::uint64_t>(slot));
-  return guard_seq_->read(static_cast<RegisterIndex>(slot));
-}
-
-void SroSpaceState::set_guard_seq(std::size_t slot, SeqNum seq) {
-  if (store_) {
-    set_key_guard_seq(static_cast<std::uint64_t>(slot), seq);
-    return;
-  }
-  guard_seq_->write(static_cast<RegisterIndex>(slot), seq);
-}
-
-bool SroSpaceState::pending(std::size_t slot) const {
-  if (store_) return key_pending(static_cast<std::uint64_t>(slot));
-  if (!guard_pending_) return false;
-  return guard_pending_->read(static_cast<RegisterIndex>(slot)) != 0;
-}
-
-void SroSpaceState::set_pending(std::size_t slot) {
-  if (store_) {
-    set_key_pending(static_cast<std::uint64_t>(slot));
-    return;
-  }
-  if (guard_pending_) guard_pending_->write(static_cast<RegisterIndex>(slot), 1);
-}
-
-void SroSpaceState::clear_pending_up_to(std::size_t slot, SeqNum acked_seq) {
-  if (store_) {
-    clear_key_pending_up_to(static_cast<std::uint64_t>(slot), acked_seq);
-    return;
-  }
-  if (!guard_pending_) return;
-  if (guard_seq(slot) <= acked_seq) {
-    guard_pending_->write(static_cast<RegisterIndex>(slot), 0);
-  }
 }
 
 SeqNum SroSpaceState::key_guard_seq(std::uint64_t key) const {
@@ -218,7 +170,8 @@ bool SroSpaceState::key_pending(std::uint64_t key) const {
     const store::Entry* e = store_->find(key);
     return e != nullptr && (e->flags & store::Entry::kFlagPending) != 0;
   }
-  return pending(slot(key));
+  return guard_pending_ != nullptr &&
+         guard_pending_->read(static_cast<RegisterIndex>(slot(key))) != 0;
 }
 
 void SroSpaceState::set_key_pending(std::uint64_t key) {
@@ -228,7 +181,7 @@ void SroSpaceState::set_key_pending(std::uint64_t key) {
     }
     return;
   }
-  set_pending(slot(key));
+  if (guard_pending_) guard_pending_->write(static_cast<RegisterIndex>(slot(key)), 1);
 }
 
 void SroSpaceState::clear_key_pending_up_to(std::uint64_t key, SeqNum acked_seq) {
@@ -240,46 +193,44 @@ void SroSpaceState::clear_key_pending_up_to(std::uint64_t key, SeqNum acked_seq)
     }
     return;
   }
-  clear_pending_up_to(slot(key), acked_seq);
+  if (guard_pending_ && key_guard_seq(key) <= acked_seq) {
+    guard_pending_->write(static_cast<RegisterIndex>(slot(key)), 0);
+  }
 }
 
-std::vector<SroSpaceState::SnapshotEntry> SroSpaceState::snapshot() const {
-  std::vector<SnapshotEntry> out;
+std::unique_ptr<SnapshotSource> SroSpaceState::snapshot_source() const {
+  const std::uint32_t id = cfg_.id;
   if (store_) {
-    out.reserve(store_->live_keys());
-    store_->for_each([&](const store::Entry& e) {
-      out.push_back({pkt::WriteOp{cfg_.id, e.key, e.value}, static_cast<SeqNum>(e.aux)});
-      return true;
+    // CoW pin taken now: writes after this call never enter the stream's
+    // snapshot portion (the runtime's live tap carries them instead).
+    return make_pinned_source(store_->pin_snapshot(), [id](const store::Entry& e, SnapshotOp& op) {
+      op = {pkt::WriteOp{id, e.key, e.value}, static_cast<SeqNum>(e.aux)};
+      return true;  // tombstones stream too — they carry deletions
     });
-    return out;  // already key-ordered: the index iterates in key order
   }
+  std::vector<SnapshotOp> out;
   if (table_) {
     out.reserve(table_->entry_count() + erased_.size());
     for (const auto& [key, value] : table_->entries()) {
-      out.push_back({pkt::WriteOp{cfg_.id, key, value}, guard_seq(slot(key))});
+      out.push_back({pkt::WriteOp{id, key, value}, key_guard_seq(key)});
     }
     // entries() iterates in hash order; sort so snapshots (and therefore
     // recovery streams) are deterministic across runs and shard counts.
     std::sort(out.begin(), out.end(),
-              [](const SnapshotEntry& a, const SnapshotEntry& b) { return a.op.key < b.op.key; });
+              [](const SnapshotOp& a, const SnapshotOp& b) { return a.op.key < b.op.key; });
     // Erased keys left no table entry; emit tombstones so a recovered
     // replica that held stale state does not resurrect closed connections.
     for (const std::uint64_t key : erased_) {
-      out.push_back({pkt::WriteOp{cfg_.id, key, kTombstone}, guard_seq(slot(key))});
+      out.push_back({pkt::WriteOp{id, key, kTombstone}, key_guard_seq(key)});
     }
   } else {
     for (std::size_t i = 0; i < values_->size(); ++i) {
       const std::uint64_t v = values_->read(static_cast<RegisterIndex>(i));
       if (v == 0) continue;  // zero registers need no transfer
-      out.push_back({pkt::WriteOp{cfg_.id, i, v}, guard_seq(slot(i))});
+      out.push_back({pkt::WriteOp{id, i, v}, key_guard_seq(i)});
     }
   }
-  return out;
-}
-
-store::OrderedIndex::Snapshot SroSpaceState::pin_snapshot() const {
-  if (store_) return store_->pin_snapshot();
-  return {};
+  return make_vector_source(std::move(out));
 }
 
 void SroSpaceState::reset(pisa::CpToken token) {
@@ -368,13 +319,6 @@ std::optional<std::uint64_t> EwoSpaceState::read_lpm(std::uint64_t key) const {
   const store::Entry* e = store_->lookup_lpm(key, cfg_.key_bits);
   if (e == nullptr) return std::nullopt;
   return e->value;
-}
-
-void EwoSpaceState::read_range(
-    std::uint64_t lo, std::uint64_t hi,
-    const std::function<bool(std::uint64_t key, std::uint64_t value)>& fn) const {
-  if (!store_) return;
-  store_->range(lo, hi, [&fn](const store::Entry& e) { return fn(e.key, e.value); });
 }
 
 void EwoSpaceState::write_local(std::uint64_t key, std::uint64_t value, RawVersion version) {

@@ -24,6 +24,7 @@
 #include "packet/swish_wire.hpp"
 #include "pisa/switch.hpp"
 #include "swishmem/config.hpp"
+#include "swishmem/protocols/engine.hpp"
 #include "swishmem/store/store_space.hpp"
 
 namespace swish::shm {
@@ -49,58 +50,36 @@ class SroSpaceState {
   /// (dense spaces return nullopt — they cannot express prefixes).
   [[nodiscard]] std::optional<std::uint64_t> read_lpm(std::uint64_t key) const;
 
-  /// In-order scan of live keys in [lo, hi); sparse spaces only.
-  void read_range(std::uint64_t lo, std::uint64_t hi,
-                  const std::function<bool(std::uint64_t key, std::uint64_t value)>& fn) const;
-
   /// Applies a committed value. Table-backed spaces require the CP token
   /// (chain hops route table updates through their control planes, §6.1).
   /// kTombstone erases: dense tables drop the entry (and record the key so
   /// snapshots carry the deletion); sparse spaces keep a tombstone entry.
   void apply(std::uint64_t key, std::uint64_t value, pisa::CpToken token);
 
-  // -- Guard table (slot-addressed; dense layout) -----------------------------
-
-  [[nodiscard]] SeqNum guard_seq(std::size_t slot) const;
-  void set_guard_seq(std::size_t slot, SeqNum seq);
-
-  [[nodiscard]] bool pending(std::size_t slot) const;  ///< always false for ERO
-  void set_pending(std::size_t slot);
-
-  /// Clears the pending bit iff no write newer than `acked_seq` has been
-  /// applied locally (a later in-flight write keeps the register pending).
-  void clear_pending_up_to(std::size_t slot, SeqNum acked_seq);
-
-  // -- Guard table (key-addressed; what the chain engine uses) -----------------
-  // Dense spaces delegate to the hashed slot above (bit-identical to the old
-  // behavior); sparse spaces keep the guard in the key's own entry, so there
-  // is no false sharing — and no false-pending redirects.
+  // -- Guard table -------------------------------------------------------------
+  // Dense spaces keep {seq, pending} in the key's hashed guard slot (shared
+  // across keys when guard_slots < size); sparse spaces keep the guard in the
+  // key's own entry, so there is no false sharing — and no false-pending
+  // redirects.
 
   [[nodiscard]] SeqNum key_guard_seq(std::uint64_t key) const;
   void set_key_guard_seq(std::uint64_t key, SeqNum seq);
-  [[nodiscard]] bool key_pending(std::uint64_t key) const;
+  [[nodiscard]] bool key_pending(std::uint64_t key) const;  ///< always false for ERO
   void set_key_pending(std::uint64_t key);
+  /// Clears the pending bit iff no write newer than `acked_seq` has been
+  /// applied locally (a later in-flight write keeps the register pending).
   void clear_key_pending_up_to(std::uint64_t key, SeqNum acked_seq);
 
   // -- Recovery ----------------------------------------------------------------
 
-  /// Snapshot of all live values with the guard seq at snapshot time, used by
-  /// the donor's control plane to rebuild a recovering replica (§6.3).
-  /// Deterministically key-ordered. Includes tombstones (op.value ==
-  /// kTombstone) for erased keys so a recovered replica that kept stale
-  /// state does not resurrect closed connections.
-  struct SnapshotEntry {
-    pkt::WriteOp op;
-    SeqNum seq;
-  };
-  [[nodiscard]] std::vector<SnapshotEntry> snapshot() const;
-
-  /// Sparse spaces: O(1) CoW pin of the current state — the donor streams
-  /// from the frozen view while writes continue. Dense spaces cannot pin;
-  /// callers fall back to snapshot(). Returns an invalid Snapshot for dense.
-  [[nodiscard]] store::OrderedIndex::Snapshot pin_snapshot() const;
-
-  [[nodiscard]] const store::StoreSpace* sparse_store() const noexcept { return store_; }
+  /// Donor snapshot of every value with its guard seq, frozen at this call
+  /// and used to rebuild a recovering replica (§6.3). A sparse space pins an
+  /// O(1) CoW view drained lazily in key order (tombstone entries included);
+  /// a dense space collects eagerly: nonzero registers in key order, or
+  /// table entries in key order followed by key-ordered tombstones for
+  /// erased keys, so a recovered replica that kept stale state does not
+  /// resurrect closed connections.
+  [[nodiscard]] std::unique_ptr<SnapshotSource> snapshot_source() const;
 
   /// Wipes values and guards (a replacement switch boots empty).
   void reset(pisa::CpToken token);
@@ -113,7 +92,7 @@ class SroSpaceState {
   pisa::RegisterArray* guard_seq_ = nullptr;      // dense only
   pisa::RegisterArray* guard_pending_ = nullptr;  // dense SRO only
   /// Dense table-backed spaces: keys erased since the last reset, with no
-  /// surviving table entry to carry the deletion into snapshot(). Ordered so
+  /// surviving table entry to carry the deletion into a snapshot. Ordered so
   /// snapshots stay deterministic. CP DRAM metadata (8 B per erased key).
   std::set<std::uint64_t> erased_;
 };
@@ -140,12 +119,6 @@ class EwoSpaceState {
   /// Longest-prefix match over store::lpm_pack()ed keys; sparse LWW/G-set
   /// spaces only (nullopt elsewhere, or when no prefix matches).
   [[nodiscard]] std::optional<std::uint64_t> read_lpm(std::uint64_t key) const;
-
-  /// In-order scan of live keys in [lo, hi); sparse spaces only.
-  void read_range(std::uint64_t lo, std::uint64_t hi,
-                  const std::function<bool(std::uint64_t key, std::uint64_t value)>& fn) const;
-
-  [[nodiscard]] const store::StoreSpace* sparse_store() const noexcept { return store_; }
 
   /// LWW local write; records the version for mirroring. Invalid for CRDTs.
   void write_local(std::uint64_t key, std::uint64_t value, RawVersion version);

@@ -170,6 +170,16 @@ expect_error2 "multi-switch fabric"      --switches 1 --shards auto
 expect_error2 "require --shards 1"       --switches 3 --shards 3 --trace "$TMP/t.txt"
 expect_error2 "require --shards 1"       --switches 3 --shards 3 --timeseries "$TMP/t.csv"
 
+# Values outside a flag's domain exit 2 naming the flag (out-of-range
+# fail/revive indices and a zero sampling period used to abort with 134,
+# probabilities above 1 used to run silently as 1).
+expect_error2 "kill names switch index 9"   --switches 3 --kill 9:10
+expect_error2 "revive names switch index 7" --switches 3 --revive 7:10
+expect_error2 "timeseries-period-us must be positive" \
+  --timeseries "$TMP/t.csv" --timeseries-period-us 0
+expect_error2 "loss is a probability"    --loss 1.5
+expect_error2 "reroute is a probability" --reroute 2
+
 # --shards 1 must reproduce the flagless (legacy single-threaded) run
 # byte-for-byte: m1.json above was exported without the flag.
 if ! "$BIN" "${run_args[@]}" --shards 1 --metrics-json "$TMP/m_s1.json" >/dev/null 2>&1; then

@@ -236,12 +236,11 @@ TEST(Own, StatsRowsExposeProtocolCounters) {
   rig.fabric.sw(2).inject(udp(6, 1001));
   rig.fabric.run_for(100 * kMs);
   bool saw_acquisitions = false;
+  const auto snap = rig.fabric.metrics_snapshot();
   for (std::size_t i = 0; i < 4; ++i) {
-    for (const auto& [label, value] : rig.engine(i)->stat_rows()) {
-      if (label.find("acquisitions_completed") != std::string::npos && value > 0) {
-        saw_acquisitions = true;
-      }
-    }
+    const auto it = snap.values.find("shm.sw" + std::to_string(rig.fabric.sw(i).id()) +
+                                     ".own.acquisitions_completed");
+    if (it != snap.values.end() && it->second.count > 0) saw_acquisitions = true;
   }
   EXPECT_TRUE(saw_acquisitions);
   // The legacy aggregate view folds the engine counters in.

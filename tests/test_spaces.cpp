@@ -1,7 +1,13 @@
-// Unit tests: SRO guard tables (seq/pending, slot sharing) and EWO storage
-// (LWW merge, G-counter / PN-counter CRDT vectors, gossip collection).
+// Unit tests: SRO guard tables (seq/pending, slot sharing), EWO storage
+// (LWW merge, G-counter / PN-counter CRDT vectors, gossip collection), and
+// the per-space donor snapshot sources of SRO and OWN drained in recovery-
+// stream chunks.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
+#include "swishmem/protocols/own_space.hpp"
 #include "swishmem/spaces.hpp"
 #include "swishmem/version.hpp"
 
@@ -15,6 +21,24 @@ struct Rig {
   Rig() { net.attach(sw); }
   pisa::CpToken token() { return sw.control_plane().token(); }
 };
+
+/// Ops per recovery-stream chunk (kRecoveryChunkOps in runtime.cpp).
+constexpr std::size_t kChunkOps = 32;
+
+/// Drains a snapshot source the way the runtime's recovery stream does, one
+/// kChunkOps-op chunk per call, and returns the concatenated stream. Every
+/// chunk but the last must be full.
+std::vector<SnapshotOp> drain(std::unique_ptr<SnapshotSource> src) {
+  std::vector<SnapshotOp> out;
+  for (;;) {
+    const std::size_t before = out.size();
+    const bool more = src->next(kChunkOps, out);
+    EXPECT_LE(out.size() - before, kChunkOps);
+    if (!more) break;
+    EXPECT_EQ(out.size() - before, kChunkOps) << "short chunk before the end";
+  }
+  return out;
+}
 
 SpaceConfig sro_cfg(bool table_backed = false, std::size_t guard_slots = 0) {
   SpaceConfig c;
@@ -71,7 +95,7 @@ TEST(SroSpace, TableBackedSnapshotCarriesEraseTombstones) {
 
   // Deterministic layout: live entries key-ordered, then tombstones
   // key-ordered behind them.
-  const auto snap = sp.snapshot();
+  const auto snap = drain(sp.snapshot_source());
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].op.key, 10u);
   EXPECT_EQ(snap[0].op.value, 100u);
@@ -89,7 +113,7 @@ TEST(SroSpace, TableBackedSnapshotCarriesEraseTombstones) {
   // Re-inserting the key clears the erased-key record: the next snapshot
   // carries the live value and no stale deletion.
   sp.apply(20, 222, rig.token());
-  const auto snap2 = sp.snapshot();
+  const auto snap2 = drain(sp.snapshot_source());
   ASSERT_EQ(snap2.size(), 3u);
   for (const auto& e : snap2) EXPECT_NE(e.op.value, kTombstone) << "key " << e.op.key;
   EXPECT_EQ(snap2[1].op.key, 20u);
@@ -99,17 +123,17 @@ TEST(SroSpace, TableBackedSnapshotCarriesEraseTombstones) {
 TEST(SroSpace, GuardSeqAndPending) {
   Rig rig;
   SroSpaceState sp(rig.sw, sro_cfg());
-  const std::size_t slot = sp.slot(5);
-  EXPECT_EQ(sp.guard_seq(slot), 0u);
-  EXPECT_FALSE(sp.pending(slot));
-  sp.set_guard_seq(slot, 3);
-  sp.set_pending(slot);
-  EXPECT_TRUE(sp.pending(slot));
+  const std::uint64_t key = 5;
+  EXPECT_EQ(sp.key_guard_seq(key), 0u);
+  EXPECT_FALSE(sp.key_pending(key));
+  sp.set_key_guard_seq(key, 3);
+  sp.set_key_pending(key);
+  EXPECT_TRUE(sp.key_pending(key));
   // Ack for an older write does not clear: a newer write is still in flight.
-  sp.clear_pending_up_to(slot, 2);
-  EXPECT_TRUE(sp.pending(slot));
-  sp.clear_pending_up_to(slot, 3);
-  EXPECT_FALSE(sp.pending(slot));
+  sp.clear_key_pending_up_to(key, 2);
+  EXPECT_TRUE(sp.key_pending(key));
+  sp.clear_key_pending_up_to(key, 3);
+  EXPECT_FALSE(sp.key_pending(key));
 }
 
 TEST(SroSpace, EroHasNoPendingBits) {
@@ -117,9 +141,8 @@ TEST(SroSpace, EroHasNoPendingBits) {
   SpaceConfig cfg = sro_cfg();
   cfg.cls = ConsistencyClass::kERO;
   SroSpaceState sp(rig.sw, cfg);
-  const std::size_t slot = sp.slot(1);
-  sp.set_pending(slot);  // no-op
-  EXPECT_FALSE(sp.pending(slot));
+  sp.set_key_pending(1);  // no-op
+  EXPECT_FALSE(sp.key_pending(1));
 }
 
 TEST(SroSpace, SharedGuardSlots) {
@@ -152,8 +175,8 @@ TEST(SroSpace, SnapshotSkipsZeroRegisters) {
   SroSpaceState sp(rig.sw, sro_cfg());
   sp.apply(3, 30, rig.token());
   sp.apply(9, 90, rig.token());
-  sp.set_guard_seq(sp.slot(3), 5);
-  auto snap = sp.snapshot();
+  sp.set_key_guard_seq(3, 5);
+  auto snap = drain(sp.snapshot_source());
   ASSERT_EQ(snap.size(), 2u);
   for (const auto& e : snap) {
     EXPECT_TRUE((e.op.key == 3 && e.op.value == 30 && e.seq == 5) ||
@@ -166,19 +189,19 @@ TEST(SroSpace, SnapshotCoversTableEntries) {
   SroSpaceState sp(rig.sw, sro_cfg(true));
   sp.apply(0xAAA, 1, rig.token());
   sp.apply(0xBBB, 2, rig.token());
-  EXPECT_EQ(sp.snapshot().size(), 2u);
+  EXPECT_EQ(drain(sp.snapshot_source()).size(), 2u);
 }
 
 TEST(SroSpace, ResetClearsEverything) {
   Rig rig;
   SroSpaceState sp(rig.sw, sro_cfg());
   sp.apply(1, 10, rig.token());
-  sp.set_guard_seq(sp.slot(1), 4);
-  sp.set_pending(sp.slot(1));
+  sp.set_key_guard_seq(1, 4);
+  sp.set_key_pending(1);
   sp.reset(rig.token());
   EXPECT_EQ(sp.read(1).value(), 0u);
-  EXPECT_EQ(sp.guard_seq(sp.slot(1)), 0u);
-  EXPECT_FALSE(sp.pending(sp.slot(1)));
+  EXPECT_EQ(sp.key_guard_seq(1), 0u);
+  EXPECT_FALSE(sp.key_pending(1));
 }
 
 TEST(SroSpace, RejectsEwoClass) {
@@ -186,6 +209,130 @@ TEST(SroSpace, RejectsEwoClass) {
   SpaceConfig cfg = sro_cfg();
   cfg.cls = ConsistencyClass::kEWO;
   EXPECT_THROW(SroSpaceState(rig.sw, cfg), std::invalid_argument);
+}
+
+// -- Donor snapshot sources, drained in recovery-stream chunks ----------------
+//
+// Each case builds the stream the donor must send from a reference model of
+// the writes (key order; zero registers skipped; table tombstones behind the
+// live keys; sparse tombstones in key order; unwritten OWN keys skipped) and
+// checks the chunked drain reproduces it at exactly one full chunk of live
+// keys and at one key past it.
+
+using Row = std::tuple<std::uint32_t, std::uint64_t, std::uint64_t, SeqNum>;
+
+std::vector<Row> rows(const std::vector<SnapshotOp>& ops) {
+  std::vector<Row> out;
+  for (const auto& s : ops) out.emplace_back(s.op.space, s.op.key, s.op.value, s.seq);
+  return out;
+}
+
+constexpr std::size_t kLiveCounts[] = {kChunkOps, kChunkOps + 1};
+
+TEST(SnapshotSource, DenseRegisterSroSkipsZeroRegisters) {
+  for (const std::size_t live : kLiveCounts) {
+    SCOPED_TRACE(live);
+    Rig rig;
+    SpaceConfig cfg = sro_cfg();
+    cfg.size = 128;
+    SroSpaceState sp(rig.sw, cfg);
+    sp.apply(2, 7, rig.token());
+    sp.apply(2, 0, rig.token());  // written back to zero: nothing to transfer
+    std::vector<Row> expected;
+    for (std::size_t k = live; k-- > 0;) {  // descending: output is key-ordered anyway
+      const std::uint64_t key = 3 * k + 1;
+      sp.apply(key, 1000 + k, rig.token());
+      sp.set_key_guard_seq(key, k + 1);
+    }
+    for (std::size_t k = 0; k < live; ++k) {
+      const std::uint64_t key = 3 * k + 1;
+      expected.emplace_back(cfg.id, key, 1000 + k, sp.key_guard_seq(key));
+    }
+    EXPECT_EQ(rows(drain(sp.snapshot_source())), expected);
+  }
+}
+
+TEST(SnapshotSource, DenseTableSroTombstonesFollowLiveKeys) {
+  for (const std::size_t live : kLiveCounts) {
+    SCOPED_TRACE(live);
+    Rig rig;
+    SroSpaceState sp(rig.sw, sro_cfg(/*table_backed=*/true));
+    for (const std::uint64_t key : {0x9000ULL, 0x8000ULL}) {
+      sp.apply(key, 1, rig.token());
+      sp.set_key_guard_seq(key, 7);
+      sp.apply(key, kTombstone, rig.token());
+    }
+    for (std::size_t k = live; k-- > 0;) {
+      const std::uint64_t key = 0x1000 + 17 * k;
+      sp.apply(key, 500 + k, rig.token());
+      sp.set_key_guard_seq(key, k + 1);
+    }
+    std::vector<Row> expected;
+    for (std::size_t k = 0; k < live; ++k) {
+      const std::uint64_t key = 0x1000 + 17 * k;
+      expected.emplace_back(1u, key, 500 + k, sp.key_guard_seq(key));
+    }
+    for (const std::uint64_t key : {0x8000ULL, 0x9000ULL}) {
+      expected.emplace_back(1u, key, kTombstone, sp.key_guard_seq(key));
+    }
+    EXPECT_EQ(rows(drain(sp.snapshot_source())), expected);
+  }
+}
+
+TEST(SnapshotSource, SparseSroStreamsTombstonesInKeyOrder) {
+  for (const std::size_t live : kLiveCounts) {
+    SCOPED_TRACE(live);
+    Rig rig;
+    SpaceConfig cfg = sro_cfg();
+    cfg.kind = SpaceKind::kSparse;
+    SroSpaceState sp(rig.sw, cfg);
+    std::vector<Row> expected;
+    for (std::size_t k = 0; k < live + 2; ++k) {
+      const std::uint64_t key = 1'000'000 * (k + 1);
+      // Two erased keys sit among the live ones.
+      const std::uint64_t value = (k == 3 || k == live) ? kTombstone : 40 + k;
+      expected.emplace_back(cfg.id, key, value, k + 1);
+    }
+    for (auto it = expected.rbegin(); it != expected.rend(); ++it) {
+      const auto& [space, key, value, seq] = *it;
+      sp.apply(key, 1, rig.token());
+      sp.apply(key, value, rig.token());
+      sp.set_key_guard_seq(key, seq);
+    }
+    EXPECT_EQ(rows(drain(sp.snapshot_source())), expected);
+  }
+}
+
+SpaceConfig own_cfg(SpaceKind kind) {
+  SpaceConfig c;
+  c.id = 3;
+  c.name = "o";
+  c.cls = ConsistencyClass::kOWN;
+  c.size = 128;
+  c.kind = kind;
+  return c;
+}
+
+TEST(SnapshotSource, OwnSkipsUnwrittenKeysDenseAndSparse) {
+  for (const SpaceKind kind : {SpaceKind::kDense, SpaceKind::kSparse}) {
+    for (const std::size_t live : kLiveCounts) {
+      SCOPED_TRACE(std::string(to_string(kind)) + " " + std::to_string(live));
+      Rig rig;
+      OwnSpaceState sp(rig.sw, own_cfg(kind));
+      // Directory-only bookkeeping (version 0) has nothing to replay.
+      sp.set_dir_owner(0, 2);
+      sp.set_dir_owner(2 * live + 1, 2);
+      std::vector<Row> expected;
+      for (std::size_t k = 0; k < live; ++k) {
+        expected.emplace_back(3u, 2 * k + 1, 70 + k, 10 + k);
+      }
+      for (auto it = expected.rbegin(); it != expected.rend(); ++it) {
+        const auto& [space, key, value, version] = *it;
+        sp.store(key, value, version);
+      }
+      EXPECT_EQ(rows(drain(sp.snapshot_source())), expected);
+    }
+  }
 }
 
 SpaceConfig ewo_cfg(MergePolicy merge) {

@@ -180,7 +180,8 @@ TimeNs parse_time(const std::string& s, const char* argv0, TimeNs unit) {
   return v * unit;
 }
 
-double parse_prob_or_rate(const std::string& s, const char* argv0) {
+/// A non-negative finite rate or count (--flows-per-sec, --packets-per-flow).
+double parse_rate(const std::string& s, const char* argv0) {
   try {
     if (s.empty() || s[0] == '-') usage(argv0);
     std::size_t pos = 0;
@@ -190,6 +191,16 @@ double parse_prob_or_rate(const std::string& s, const char* argv0) {
   } catch (const std::logic_error&) {
     usage(argv0);
   }
+}
+
+/// A probability (--loss, --reroute): a rate that must not exceed 1.
+double parse_prob(const std::string& s, const char* flag, const char* argv0) {
+  const double p = parse_rate(s, argv0);
+  if (p > 1.0) {
+    std::cerr << "error: " << flag << " is a probability in [0, 1] (got " << s << ")\n";
+    usage(argv0);
+  }
+  return p;
 }
 
 std::pair<std::size_t, TimeNs> parse_idx_ms(const std::string& s, const char* argv0) {
@@ -215,16 +226,15 @@ Options parse(int argc, char** argv) {
     else if (a == "--check-period-ms") opt.check_period = parse_time(need(i), argv[0], kMs);
     else if (a == "--topology") opt.topology = need(i);
     else if (a == "--spines") opt.spines = parse_u64(need(i), argv[0]);
-    else if (a == "--loss") opt.loss = parse_prob_or_rate(need(i), argv[0]);
+    else if (a == "--loss") opt.loss = parse_prob(need(i), "--loss", argv[0]);
     else if (a == "--link-delay-us") opt.link_delay = parse_time(need(i), argv[0], kUs);
     else if (a == "--dataplane-pps") {
       opt.dataplane_pps = static_cast<double>(parse_u64(need(i), argv[0]));
       if (opt.dataplane_pps <= 0) usage(argv[0]);
     }
-    else if (a == "--flows-per-sec") opt.flows_per_sec = parse_prob_or_rate(need(i), argv[0]);
-    else if (a == "--packets-per-flow")
-      opt.packets_per_flow = parse_prob_or_rate(need(i), argv[0]);
-    else if (a == "--reroute") opt.reroute = parse_prob_or_rate(need(i), argv[0]);
+    else if (a == "--flows-per-sec") opt.flows_per_sec = parse_rate(need(i), argv[0]);
+    else if (a == "--packets-per-flow") opt.packets_per_flow = parse_rate(need(i), argv[0]);
+    else if (a == "--reroute") opt.reroute = parse_prob(need(i), "--reroute", argv[0]);
     else if (a == "--duration-ms") opt.duration = parse_time(need(i), argv[0], kMs);
     else if (a == "--sync-period-us") opt.sync_period = parse_time(need(i), argv[0], kUs);
     else if (a == "--kill") opt.kills.push_back(parse_idx_ms(need(i), argv[0]));
@@ -277,12 +287,29 @@ Options parse(int argc, char** argv) {
     } else if (a == "--span-sample") opt.span_sample = parse_u64(need(i), argv[0]);
     else if (a == "--perfetto") opt.perfetto = need(i);
     else if (a == "--timeseries") opt.timeseries = need(i);
-    else if (a == "--timeseries-period-us")
+    else if (a == "--timeseries-period-us") {
       opt.timeseries_period = parse_time(need(i), argv[0], kUs);
+      if (opt.timeseries_period == 0) {
+        std::cerr << "error: --timeseries-period-us must be positive\n";
+        usage(argv[0]);
+      }
+    }
     else if (a == "--top-slowest") opt.top_slowest = parse_u64(need(i), argv[0]);
     else if (a == "--seed") opt.seed = parse_u64(need(i), argv[0]);
     else if (a == "--quiet") opt.quiet = true;
     else usage(argv[0]);
+  }
+  // Fail/revive targets are fabric switch indices (spines excluded).
+  for (const auto& [flag, events] : {std::pair{"--kill", &opt.kills},
+                                     std::pair{"--revive", &opt.revives}}) {
+    for (const auto& [idx, at] : *events) {
+      if (idx >= opt.switches) {
+        std::cerr << "error: " << flag << " names switch index " << idx
+                  << ", but the fabric has only " << opt.switches << " switches (--switches "
+                  << opt.switches << ")\n";
+        std::exit(2);
+      }
+    }
   }
   if (trace_mask_given && opt.trace.empty()) {
     std::cerr << "warning: --trace-mask has no effect without --trace FILE\n";
