@@ -1,241 +1,207 @@
 #include "packet/swish_wire.hpp"
 
+#include <array>
+#include <concepts>
+#include <type_traits>
+#include <utility>
+
 namespace swish::pkt {
 namespace {
 
-void encode_ops(ByteWriter& w, const std::vector<WriteOp>& ops, const std::vector<SeqNum>& seqs) {
-  w.u16(static_cast<std::uint16_t>(ops.size()));
-  w.u8(seqs.empty() ? 0 : 1);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    w.u32(ops[i].space);
-    w.u64(ops[i].key);
-    w.u64(ops[i].value);
-    if (!seqs.empty()) w.u64(seqs[i]);
+// Each message and nested record declares its layout once, as a field list
+// in wire order; Encoder and Decoder below walk the same list. The C++ field
+// type fixes the wire width: bool/u8 -> 1 byte, u32 -> 4, u64 -> 8. A
+// std::vector<T> is a u16 count followed by its elements, and a
+// std::vector<uint8_t> a u16 length followed by raw bytes.
+
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+/// The one special shape: a u16 count, a u8 has-seqs flag, then interleaved
+/// `op[, seq]`. Con messages carry no seqs (`seqs` null): they write flag 0
+/// and skip the seqs of a flagged payload.
+template <class Ops, class Seqs>
+struct OpBlock {
+  Ops& ops;
+  Seqs* seqs;
+};
+
+template <class Ops, class Seqs>
+OpBlock<Ops, Seqs> op_block(Ops& ops, Seqs& seqs) {
+  return {ops, &seqs};
+}
+
+template <class Ops>
+OpBlock<Ops, std::vector<SeqNum>> op_block(Ops& ops) {
+  return {ops, nullptr};
+}
+
+void fields(auto& io, Is<WriteOp> auto& m) { io(m.space, m.key, m.value); }
+void fields(auto& io, Is<EwoEntry> auto& m) { io(m.space, m.key, m.version, m.value); }
+void fields(auto& io, Is<MemberInfo> auto& m) {
+  io(m.member, m.state, m.incarnation, m.evidence_ns);
+}
+void fields(auto& io, Is<ConEntry> auto& m) {
+  io(m.slot, m.ballot, m.writer, m.req_id, op_block(m.ops));
+}
+
+void fields(auto& io, Is<WriteRequest> auto& m) {
+  io(m.epoch, m.writer, m.write_id, m.snapshot_replay, m.snapshot_epoch, op_block(m.ops, m.seqs));
+}
+void fields(auto& io, Is<WriteAck> auto& m) {
+  io(m.epoch, m.writer, m.write_id, op_block(m.ops, m.seqs));
+}
+void fields(auto& io, Is<EwoUpdate> auto& m) { io(m.origin, m.periodic, m.entries); }
+void fields(auto& io, Is<Heartbeat> auto& m) { io(m.sender, m.send_time_ns); }
+void fields(auto& io, Is<ChainConfig> auto& m) { io(m.epoch, m.chain); }
+void fields(auto& io, Is<GroupConfig> auto& m) { io(m.epoch, m.members); }
+void fields(auto& io, Is<ReadRedirect> auto& m) { io(m.origin, m.original_packet); }
+void fields(auto& io, Is<OwnRequest> auto& m) {
+  io(m.space, m.key, m.requester, m.req_id, m.revoke);
+}
+void fields(auto& io, Is<OwnGrant> auto& m) {
+  io(m.space, m.key, m.new_owner, m.req_id, m.value, m.version);
+}
+void fields(auto& io, Is<OwnUpdate> auto& m) { io(m.owner, m.claim, m.entries); }
+void fields(auto& io, Is<SwimPing> auto& m) {
+  io(m.sender, m.origin, m.seq, m.incarnation, m.gossip);
+}
+void fields(auto& io, Is<SwimAck> auto& m) { io(m.subject, m.seq, m.incarnation, m.gossip); }
+void fields(auto& io, Is<SwimPingReq> auto& m) { io(m.sender, m.target, m.seq, m.gossip); }
+void fields(auto& io, Is<MembershipUpdate> auto& m) { io(m.sender, m.entries); }
+void fields(auto& io, Is<ConForward> auto& m) {
+  io(m.epoch, m.writer, m.req_id, op_block(m.ops));
+}
+void fields(auto& io, Is<ConPrepare> auto& m) { io(m.epoch, m.ballot, m.coordinator); }
+void fields(auto& io, Is<ConPromise> auto& m) {
+  io(m.epoch, m.ballot, m.acceptor, m.applied_upto, m.entries);
+}
+void fields(auto& io, Is<ConAccept> auto& m) {
+  io(m.epoch, m.ballot, m.slot, m.commit_upto, m.writer, m.req_id, op_block(m.ops));
+}
+void fields(auto& io, Is<ConAccepted> auto& m) {
+  io(m.epoch, m.ballot, m.slot, m.acceptor, m.applied_upto);
+}
+void fields(auto& io, Is<ConLearn> auto& m) {
+  io(m.epoch, m.ballot, m.slot, m.commit_upto, m.writer, m.req_id, op_block(m.ops));
+}
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+struct Encoder {
+  ByteWriter& w;
+
+  void operator()(const auto&... f) { (put(f), ...); }
+
+  template <class T>
+  void put(const T& f) {
+    if constexpr (std::is_same_v<T, bool>) {
+      w.u8(f ? 1 : 0);
+    } else if constexpr (std::is_integral_v<T>) {
+      static_assert(sizeof(T) == 1 || sizeof(T) == 4 || sizeof(T) == 8);
+      if constexpr (sizeof(T) == 1) w.u8(f);
+      else if constexpr (sizeof(T) == 4) w.u32(f);
+      else w.u64(f);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      w.u16(static_cast<std::uint16_t>(f.size()));
+      w.raw(f);
+    } else if constexpr (kIsVector<T>) {
+      w.u16(static_cast<std::uint16_t>(f.size()));
+      for (const auto& e : f) put(e);
+    } else {
+      fields(*this, f);
+    }
   }
-}
 
-void decode_ops(ByteReader& r, std::vector<WriteOp>& ops, std::vector<SeqNum>& seqs) {
-  const std::uint16_t n = r.u16();
-  const bool has_seqs = r.u8() != 0;
-  ops.resize(n);
-  seqs.clear();
-  if (has_seqs) seqs.resize(n);
-  for (std::uint16_t i = 0; i < n; ++i) {
-    ops[i].space = r.u32();
-    ops[i].key = r.u64();
-    ops[i].value = r.u64();
-    if (has_seqs) seqs[i] = r.u64();
+  template <class Ops, class Seqs>
+  void put(const OpBlock<Ops, Seqs>& b) {
+    const bool has_seqs = b.seqs != nullptr && !b.seqs->empty();
+    w.u16(static_cast<std::uint16_t>(b.ops.size()));
+    w.u8(has_seqs ? 1 : 0);
+    for (std::size_t i = 0; i < b.ops.size(); ++i) {
+      put(b.ops[i]);
+      if (has_seqs) w.u64((*b.seqs)[i]);
+    }
   }
-}
+};
 
-void encode_body(ByteWriter& w, const WriteRequest& m) {
-  w.u32(m.epoch);
-  w.u32(m.writer);
-  w.u64(m.write_id);
-  w.u8(m.snapshot_replay ? 1 : 0);
-  w.u32(m.snapshot_epoch);
-  encode_ops(w, m.ops, m.seqs);
-}
+struct Decoder {
+  ByteReader& r;
 
-void encode_body(ByteWriter& w, const WriteAck& m) {
-  w.u32(m.epoch);
-  w.u32(m.writer);
-  w.u64(m.write_id);
-  encode_ops(w, m.ops, m.seqs);
-}
+  void operator()(auto&&... f) { (get(f), ...); }
 
-void encode_body(ByteWriter& w, const EwoUpdate& m) {
-  w.u32(m.origin);
-  w.u8(m.periodic ? 1 : 0);
-  w.u16(static_cast<std::uint16_t>(m.entries.size()));
-  for (const auto& e : m.entries) {
-    w.u32(e.space);
-    w.u64(e.key);
-    w.u64(e.version);
-    w.u64(e.value);
+  template <class T>
+  void get(T& f) {
+    if constexpr (std::is_same_v<T, bool>) {
+      f = r.u8() != 0;
+    } else if constexpr (std::is_integral_v<T>) {
+      if constexpr (sizeof(T) == 1) f = r.u8();
+      else if constexpr (sizeof(T) == 4) f = r.u32();
+      else f = r.u64();
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      const auto raw = r.raw(r.u16());
+      f.assign(raw.begin(), raw.end());
+    } else if constexpr (kIsVector<T>) {
+      f.resize(r.u16());
+      for (auto& e : f) get(e);
+    } else {
+      fields(*this, f);
+    }
   }
-}
 
-void encode_body(ByteWriter& w, const Heartbeat& m) {
-  w.u32(m.sender);
-  w.u64(m.send_time_ns);
-}
-
-void encode_body(ByteWriter& w, const ChainConfig& m) {
-  w.u32(m.epoch);
-  w.u16(static_cast<std::uint16_t>(m.chain.size()));
-  for (auto s : m.chain) w.u32(s);
-}
-
-void encode_body(ByteWriter& w, const GroupConfig& m) {
-  w.u32(m.epoch);
-  w.u16(static_cast<std::uint16_t>(m.members.size()));
-  for (auto s : m.members) w.u32(s);
-}
-
-void encode_body(ByteWriter& w, const ReadRedirect& m) {
-  w.u32(m.origin);
-  w.u16(static_cast<std::uint16_t>(m.original_packet.size()));
-  w.raw(m.original_packet);
-}
-
-void encode_body(ByteWriter& w, const OwnRequest& m) {
-  w.u32(m.space);
-  w.u64(m.key);
-  w.u32(m.requester);
-  w.u64(m.req_id);
-  w.u8(m.revoke ? 1 : 0);
-}
-
-void encode_body(ByteWriter& w, const OwnGrant& m) {
-  w.u32(m.space);
-  w.u64(m.key);
-  w.u32(m.new_owner);
-  w.u64(m.req_id);
-  w.u64(m.value);
-  w.u64(m.version);
-}
-
-void encode_body(ByteWriter& w, const OwnUpdate& m) {
-  w.u32(m.owner);
-  w.u8(m.claim ? 1 : 0);
-  w.u16(static_cast<std::uint16_t>(m.entries.size()));
-  for (const auto& e : m.entries) {
-    w.u32(e.space);
-    w.u64(e.key);
-    w.u64(e.version);
-    w.u64(e.value);
+  template <class Ops, class Seqs>
+  void get(OpBlock<Ops, Seqs>& b) {
+    const std::uint16_t n = r.u16();
+    const bool has_seqs = r.u8() != 0;
+    b.ops.resize(n);
+    if (b.seqs != nullptr) b.seqs->assign(has_seqs ? n : 0, 0);
+    for (std::uint16_t i = 0; i < n; ++i) {
+      get(b.ops[i]);
+      if (!has_seqs) continue;
+      if (b.seqs != nullptr) (*b.seqs)[i] = r.u64();
+      else r.skip(sizeof(SeqNum));
+    }
   }
+};
+
+/// Decodes the body of variant alternative I in place.
+template <std::size_t I>
+std::optional<SwishMessage> decode_as(ByteReader& r) {
+  std::optional<SwishMessage> out(std::in_place, std::in_place_index<I>);
+  Decoder dec{r};
+  fields(dec, std::get<I>(*out));
+  return out;
 }
 
-void encode_gossip(ByteWriter& w, const std::vector<MemberInfo>& gossip) {
-  w.u16(static_cast<std::uint16_t>(gossip.size()));
-  for (const auto& g : gossip) {
-    w.u32(g.member);
-    w.u8(g.state);
-    w.u32(g.incarnation);
-    w.u64(g.evidence_ns);
-  }
-}
-
-void decode_gossip(ByteReader& r, std::vector<MemberInfo>& gossip) {
-  const std::uint16_t n = r.u16();
-  gossip.resize(n);
-  for (auto& g : gossip) {
-    g.member = r.u32();
-    g.state = r.u8();
-    g.incarnation = r.u32();
-    g.evidence_ns = r.u64();
-  }
-}
-
-void encode_body(ByteWriter& w, const SwimPing& m) {
-  w.u32(m.sender);
-  w.u32(m.origin);
-  w.u64(m.seq);
-  w.u32(m.incarnation);
-  encode_gossip(w, m.gossip);
-}
-
-void encode_body(ByteWriter& w, const SwimAck& m) {
-  w.u32(m.subject);
-  w.u64(m.seq);
-  w.u32(m.incarnation);
-  encode_gossip(w, m.gossip);
-}
-
-void encode_body(ByteWriter& w, const SwimPingReq& m) {
-  w.u32(m.sender);
-  w.u32(m.target);
-  w.u64(m.seq);
-  encode_gossip(w, m.gossip);
-}
-
-void encode_body(ByteWriter& w, const MembershipUpdate& m) {
-  w.u32(m.sender);
-  encode_gossip(w, m.entries);
-}
-
-void encode_body(ByteWriter& w, const ConForward& m) {
-  w.u32(m.epoch);
-  w.u32(m.writer);
-  w.u64(m.req_id);
-  encode_ops(w, m.ops, {});
-}
-
-void encode_body(ByteWriter& w, const ConPrepare& m) {
-  w.u32(m.epoch);
-  w.u64(m.ballot);
-  w.u32(m.coordinator);
-}
-
-void encode_body(ByteWriter& w, const ConPromise& m) {
-  w.u32(m.epoch);
-  w.u64(m.ballot);
-  w.u32(m.acceptor);
-  w.u64(m.applied_upto);
-  w.u16(static_cast<std::uint16_t>(m.entries.size()));
-  for (const auto& e : m.entries) {
-    w.u64(e.slot);
-    w.u64(e.ballot);
-    w.u32(e.writer);
-    w.u64(e.req_id);
-    encode_ops(w, e.ops, {});
-  }
-}
-
-void encode_body(ByteWriter& w, const ConAccept& m) {
-  w.u32(m.epoch);
-  w.u64(m.ballot);
-  w.u64(m.slot);
-  w.u64(m.commit_upto);
-  w.u32(m.writer);
-  w.u64(m.req_id);
-  encode_ops(w, m.ops, {});
-}
-
-void encode_body(ByteWriter& w, const ConAccepted& m) {
-  w.u32(m.epoch);
-  w.u64(m.ballot);
-  w.u64(m.slot);
-  w.u32(m.acceptor);
-  w.u64(m.applied_upto);
-}
-
-void encode_body(ByteWriter& w, const ConLearn& m) {
-  w.u32(m.epoch);
-  w.u64(m.ballot);
-  w.u64(m.slot);
-  w.u64(m.commit_upto);
-  w.u32(m.writer);
-  w.u64(m.req_id);
-  encode_ops(w, m.ops, {});
-}
-
-constexpr MsgType type_of(const SwishMessage& msg) noexcept {
-  return static_cast<MsgType>(msg.index() + 1);
-}
-
-std::optional<SwishMessage> decode_body(ByteReader& r, MsgType type);
+/// Decoder of each message type, indexed by type byte - 1.
+constexpr auto kDecoders = []<std::size_t... I>(std::index_sequence<I...>) {
+  return std::array<std::optional<SwishMessage> (*)(ByteReader&), sizeof...(I)>{
+      &decode_as<I>...};
+}(std::make_index_sequence<kNumMsgTypes>{});
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg) {
-  ByteWriter w(64);
-  w.u8(static_cast<std::uint8_t>(type_of(msg)));
-  std::visit([&w](const auto& m) { encode_body(w, m); }, msg);
-  return std::move(w).take();
+  return encode_message(msg, telemetry::SpanContext{});
 }
 
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg,
                                          const telemetry::SpanContext& ctx) {
-  if (!ctx.sampled()) return encode_message(msg);
-  ByteWriter w(64 + telemetry::kSpanContextWireBytes);
-  w.u8(static_cast<std::uint8_t>(type_of(msg)) | kTracedFlag);
-  w.u64(ctx.trace_id);
-  w.u64(ctx.span_id);
-  w.u8(ctx.hop);
-  std::visit([&w](const auto& m) { encode_body(w, m); }, msg);
+  const auto type = static_cast<std::uint8_t>(msg.index() + 1);
+  ByteWriter w(ctx.sampled() ? 64 + telemetry::kSpanContextWireBytes : 64);
+  if (ctx.sampled()) {
+    w.u8(type | kTracedFlag);
+    w.u64(ctx.trace_id);
+    w.u64(ctx.span_id);
+    w.u8(ctx.hop);
+  } else {
+    w.u8(type);
+  }
+  Encoder enc{w};
+  std::visit([&enc](const auto& m) { fields(enc, m); }, msg);
   return std::move(w).take();
 }
 
@@ -255,219 +221,12 @@ std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload
       ctx->span_id = r.u64();
       ctx->hop = r.u8();
     }
-    return decode_body(r, static_cast<MsgType>(type_byte & ~kTracedFlag));
+    const std::size_t type = type_byte & ~kTracedFlag;
+    if (type == 0 || type > kNumMsgTypes) return std::nullopt;
+    return kDecoders[type - 1](r);
   } catch (const BufferError&) {
     return std::nullopt;
   }
 }
-
-namespace {
-
-std::optional<SwishMessage> decode_body(ByteReader& r, MsgType type) {
-  try {
-    switch (type) {
-      case MsgType::kWriteRequest: {
-        WriteRequest m;
-        m.epoch = r.u32();
-        m.writer = r.u32();
-        m.write_id = r.u64();
-        m.snapshot_replay = r.u8() != 0;
-        m.snapshot_epoch = r.u32();
-        decode_ops(r, m.ops, m.seqs);
-        return m;
-      }
-      case MsgType::kWriteAck: {
-        WriteAck m;
-        m.epoch = r.u32();
-        m.writer = r.u32();
-        m.write_id = r.u64();
-        decode_ops(r, m.ops, m.seqs);
-        return m;
-      }
-      case MsgType::kEwoUpdate: {
-        EwoUpdate m;
-        m.origin = r.u32();
-        m.periodic = r.u8() != 0;
-        const std::uint16_t n = r.u16();
-        m.entries.resize(n);
-        for (auto& e : m.entries) {
-          e.space = r.u32();
-          e.key = r.u64();
-          e.version = r.u64();
-          e.value = r.u64();
-        }
-        return m;
-      }
-      case MsgType::kHeartbeat: {
-        Heartbeat m;
-        m.sender = r.u32();
-        m.send_time_ns = r.u64();
-        return m;
-      }
-      case MsgType::kChainConfig: {
-        ChainConfig m;
-        m.epoch = r.u32();
-        const std::uint16_t n = r.u16();
-        m.chain.resize(n);
-        for (auto& s : m.chain) s = r.u32();
-        return m;
-      }
-      case MsgType::kGroupConfig: {
-        GroupConfig m;
-        m.epoch = r.u32();
-        const std::uint16_t n = r.u16();
-        m.members.resize(n);
-        for (auto& s : m.members) s = r.u32();
-        return m;
-      }
-      case MsgType::kReadRedirect: {
-        ReadRedirect m;
-        m.origin = r.u32();
-        const std::uint16_t n = r.u16();
-        auto raw = r.raw(n);
-        m.original_packet.assign(raw.begin(), raw.end());
-        return m;
-      }
-      case MsgType::kOwnRequest: {
-        OwnRequest m;
-        m.space = r.u32();
-        m.key = r.u64();
-        m.requester = r.u32();
-        m.req_id = r.u64();
-        m.revoke = r.u8() != 0;
-        return m;
-      }
-      case MsgType::kOwnGrant: {
-        OwnGrant m;
-        m.space = r.u32();
-        m.key = r.u64();
-        m.new_owner = r.u32();
-        m.req_id = r.u64();
-        m.value = r.u64();
-        m.version = r.u64();
-        return m;
-      }
-      case MsgType::kOwnUpdate: {
-        OwnUpdate m;
-        m.owner = r.u32();
-        m.claim = r.u8() != 0;
-        const std::uint16_t n = r.u16();
-        m.entries.resize(n);
-        for (auto& e : m.entries) {
-          e.space = r.u32();
-          e.key = r.u64();
-          e.version = r.u64();
-          e.value = r.u64();
-        }
-        return m;
-      }
-      case MsgType::kSwimPing: {
-        SwimPing m;
-        m.sender = r.u32();
-        m.origin = r.u32();
-        m.seq = r.u64();
-        m.incarnation = r.u32();
-        decode_gossip(r, m.gossip);
-        return m;
-      }
-      case MsgType::kSwimAck: {
-        SwimAck m;
-        m.subject = r.u32();
-        m.seq = r.u64();
-        m.incarnation = r.u32();
-        decode_gossip(r, m.gossip);
-        return m;
-      }
-      case MsgType::kSwimPingReq: {
-        SwimPingReq m;
-        m.sender = r.u32();
-        m.target = r.u32();
-        m.seq = r.u64();
-        decode_gossip(r, m.gossip);
-        return m;
-      }
-      case MsgType::kMembershipUpdate: {
-        MembershipUpdate m;
-        m.sender = r.u32();
-        decode_gossip(r, m.entries);
-        return m;
-      }
-      case MsgType::kConForward: {
-        ConForward m;
-        m.epoch = r.u32();
-        m.writer = r.u32();
-        m.req_id = r.u64();
-        std::vector<SeqNum> ignored;
-        decode_ops(r, m.ops, ignored);
-        return m;
-      }
-      case MsgType::kConPrepare: {
-        ConPrepare m;
-        m.epoch = r.u32();
-        m.ballot = r.u64();
-        m.coordinator = r.u32();
-        return m;
-      }
-      case MsgType::kConPromise: {
-        ConPromise m;
-        m.epoch = r.u32();
-        m.ballot = r.u64();
-        m.acceptor = r.u32();
-        m.applied_upto = r.u64();
-        const std::uint16_t n = r.u16();
-        m.entries.resize(n);
-        std::vector<SeqNum> ignored;
-        for (auto& e : m.entries) {
-          e.slot = r.u64();
-          e.ballot = r.u64();
-          e.writer = r.u32();
-          e.req_id = r.u64();
-          decode_ops(r, e.ops, ignored);
-        }
-        return m;
-      }
-      case MsgType::kConAccept: {
-        ConAccept m;
-        m.epoch = r.u32();
-        m.ballot = r.u64();
-        m.slot = r.u64();
-        m.commit_upto = r.u64();
-        m.writer = r.u32();
-        m.req_id = r.u64();
-        std::vector<SeqNum> ignored;
-        decode_ops(r, m.ops, ignored);
-        return m;
-      }
-      case MsgType::kConAccepted: {
-        ConAccepted m;
-        m.epoch = r.u32();
-        m.ballot = r.u64();
-        m.slot = r.u64();
-        m.acceptor = r.u32();
-        m.applied_upto = r.u64();
-        return m;
-      }
-      case MsgType::kConLearn: {
-        ConLearn m;
-        m.epoch = r.u32();
-        m.ballot = r.u64();
-        m.slot = r.u64();
-        m.commit_upto = r.u64();
-        m.writer = r.u32();
-        m.req_id = r.u64();
-        std::vector<SeqNum> ignored;
-        decode_ops(r, m.ops, ignored);
-        return m;
-      }
-    }
-    return std::nullopt;
-  } catch (const BufferError&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
-std::size_t encoded_size(const SwishMessage& msg) { return encode_message(msg).size(); }
 
 }  // namespace swish::pkt

@@ -4,10 +4,15 @@
 // the simulated fabric, so they are subject to the same loss/reordering as
 // application traffic — exactly the environment the protocols are designed
 // for. Messages are deliberately small (the paper notes ~100-byte objects
-// suit in-switch replication); a WriteRequest with one op is 51 bytes of
-// payload.
+// suit in-switch replication); a WriteRequest with one op is 45 bytes of
+// payload, 53 once the chain head has sequenced it.
+//
+// Each message's byte layout is declared once, as a field list in
+// swish_wire.cpp; the encoder, the decoder and the type byte (variant index
+// + 1) all derive from it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -51,9 +56,6 @@ enum class MsgType : std::uint8_t {
   kConAccepted = 19,
   kConLearn = 20,
 };
-
-/// Number of distinct protocol message types (registry sizing).
-inline constexpr std::size_t kNumMsgTypes = 20;
 
 /// One register mutation inside a write request.
 struct WriteOp {
@@ -350,6 +352,21 @@ using SwishMessage = std::variant<WriteRequest, WriteAck, EwoUpdate, Heartbeat, 
                                   SwimPing, SwimAck, SwimPingReq, MembershipUpdate, ConForward,
                                   ConPrepare, ConPromise, ConAccept, ConAccepted, ConLearn>;
 
+/// Number of distinct protocol message types (registry sizing). The type
+/// byte of alternative i is i + 1, matching MsgType.
+inline constexpr std::size_t kNumMsgTypes = std::variant_size_v<SwishMessage>;
+static_assert(static_cast<std::size_t>(MsgType::kConLearn) == kNumMsgTypes);
+
+/// Name of a message's type, e.g. "WriteRequest" (static storage).
+inline const char* message_name(const SwishMessage& msg) noexcept {
+  static constexpr std::array<const char*, kNumMsgTypes> kNames{
+      "WriteRequest", "WriteAck",    "EwoUpdate",   "Heartbeat",        "ChainConfig",
+      "GroupConfig",  "ReadRedirect", "OwnRequest",  "OwnGrant",         "OwnUpdate",
+      "SwimPing",     "SwimAck",     "SwimPingReq", "MembershipUpdate", "ConForward",
+      "ConPrepare",   "ConPromise",  "ConAccept",   "ConAccepted",      "ConLearn"};
+  return kNames[msg.index()];
+}
+
 /// Serializes a protocol message (type byte + body) into a UDP payload.
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg);
 
@@ -367,9 +384,5 @@ std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload
 /// carried trace context (left unsampled otherwise). `ctx` must be non-null.
 std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload,
                                            telemetry::SpanContext* ctx);
-
-/// Payload size in bytes of the encoded message (used by benches computing
-/// replication bandwidth without materializing packets).
-std::size_t encoded_size(const SwishMessage& msg);
 
 }  // namespace swish::pkt

@@ -37,7 +37,7 @@ struct FabricConfig {
   std::size_t shards = 1;
 
   enum class Topology { kFullMesh, kChain, kLeafSpine } topology = Topology::kFullMesh;
-  std::size_t spine_count = 2;  ///< leaf-spine only (switches become leaves)
+  std::size_t spine_count = 2;  ///< leaf-spine only (switches become leaves); >= 1
 
   net::LinkParams link;                 ///< inter-switch links
   pisa::Switch::Config switch_config;   ///< per-switch data/control plane

@@ -49,52 +49,6 @@ telemetry::TraceCategory msg_trace_category(const pkt::SwishMessage& msg) noexce
   }
 }
 
-const char* msg_trace_name(const pkt::SwishMessage& msg) noexcept {
-  switch (static_cast<pkt::MsgType>(msg.index() + 1)) {
-    case pkt::MsgType::kWriteRequest:
-      return "WriteRequest";
-    case pkt::MsgType::kWriteAck:
-      return "WriteAck";
-    case pkt::MsgType::kEwoUpdate:
-      return "EwoUpdate";
-    case pkt::MsgType::kHeartbeat:
-      return "Heartbeat";
-    case pkt::MsgType::kChainConfig:
-      return "ChainConfig";
-    case pkt::MsgType::kGroupConfig:
-      return "GroupConfig";
-    case pkt::MsgType::kReadRedirect:
-      return "ReadRedirect";
-    case pkt::MsgType::kOwnRequest:
-      return "OwnRequest";
-    case pkt::MsgType::kOwnGrant:
-      return "OwnGrant";
-    case pkt::MsgType::kOwnUpdate:
-      return "OwnUpdate";
-    case pkt::MsgType::kSwimPing:
-      return "SwimPing";
-    case pkt::MsgType::kSwimAck:
-      return "SwimAck";
-    case pkt::MsgType::kSwimPingReq:
-      return "SwimPingReq";
-    case pkt::MsgType::kMembershipUpdate:
-      return "MembershipUpdate";
-    case pkt::MsgType::kConForward:
-      return "ConForward";
-    case pkt::MsgType::kConPrepare:
-      return "ConPrepare";
-    case pkt::MsgType::kConPromise:
-      return "ConPromise";
-    case pkt::MsgType::kConAccept:
-      return "ConAccept";
-    case pkt::MsgType::kConAccepted:
-      return "ConAccepted";
-    case pkt::MsgType::kConLearn:
-      return "ConLearn";
-  }
-  return "?";
-}
-
 /// Cap on the retry-reuse span cache; blunt-cleared beyond this (a cleared
 /// entry only means a late retransmission starts a fresh span).
 constexpr std::size_t kMaxSendSpans = 65536;
@@ -327,7 +281,7 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   }
   if (!active_trace_.sampled()) return {};
   const telemetry::SpanContext ctx =
-      sw_.spans().record_instant(active_trace_, sw_.id(), msg_trace_name(msg));
+      sw_.spans().record_instant(active_trace_, sw_.id(), pkt::message_name(msg));
   if (identity && ctx.sampled()) {
     if (send_spans_.size() >= kMaxSendSpans) send_spans_.clear();
     send_spans_.emplace(*identity, ctx);
@@ -362,7 +316,7 @@ std::size_t ShmRuntime::send(SwitchId dst, const pkt::SwishMessage& msg) {
   // category/name switches off the path when tracing is disabled.
   telemetry::Tracer& tracer = sw_.simulator().tracer();
   if (tracer.mask() != 0) {
-    tracer.record(msg_trace_category(msg), sw_.id(), msg_trace_name(msg), dst, n);
+    tracer.record(msg_trace_category(msg), sw_.id(), pkt::message_name(msg), dst, n);
   }
   sw_.send_to_node(dst, std::move(packet), rng_.next());
   return n - int_overhead;

@@ -1,6 +1,7 @@
 #include "workload/traffic.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace swish::workload {
 
@@ -8,7 +9,13 @@ TrafficGenerator::TrafficGenerator(shm::Fabric& fabric, TrafficConfig config)
     : fabric_(fabric),
       config_(config),
       rng_(config.seed),
-      client_zipf_(std::max<std::size_t>(config.num_clients, 1), config.zipf_theta) {}
+      client_zipf_(std::max<std::size_t>(config.num_clients, 1), config.zipf_theta) {
+  // The mean arrival gap is kSec / flows_per_sec: a zero rate would schedule
+  // an infinitely distant (undefined) arrival time.
+  if (!(config_.flows_per_sec > 0)) {
+    throw std::invalid_argument("TrafficGenerator: flows_per_sec must be positive");
+  }
+}
 
 void TrafficGenerator::start(TimeNs duration) {
   schedule_next_arrival(fabric_.simulator().now() + duration);

@@ -52,6 +52,7 @@ class TrafficGenerator {
     std::uint64_t reroutes = 0;
   };
 
+  /// Throws std::invalid_argument unless config.flows_per_sec > 0.
   TrafficGenerator(shm::Fabric& fabric, TrafficConfig config);
 
   /// Schedules flow arrivals over [now, now + duration).

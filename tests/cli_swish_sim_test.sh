@@ -179,6 +179,10 @@ expect_error2 "timeseries-period-us must be positive" \
   --timeseries "$TMP/t.csv" --timeseries-period-us 0
 expect_error2 "loss is a probability"    --loss 1.5
 expect_error2 "reroute is a probability" --reroute 2
+# A zero arrival rate used to abort with 134; a spineless leaf-spine fabric
+# used to run with its leaves unconnected and deliver nothing.
+expect_error2 "flows-per-sec must be positive" --flows-per-sec 0
+expect_error2 "at least one spine" --topology leafspine --spines 0
 
 # --shards 1 must reproduce the flagless (legacy single-threaded) run
 # byte-for-byte: m1.json above was exported without the flag.

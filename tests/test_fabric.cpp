@@ -120,6 +120,17 @@ TEST(Fabric, ApiMisuseThrows) {
   EXPECT_THROW(Fabric{bad}, std::invalid_argument);
 }
 
+TEST(Fabric, LeafSpineWithoutSpinesRejected) {
+  // Leaves connect only through spines: with none, nothing would be delivered.
+  FabricConfig cfg;
+  cfg.num_switches = 3;
+  cfg.topology = FabricConfig::Topology::kLeafSpine;
+  cfg.spine_count = 0;
+  EXPECT_THROW(Fabric{cfg}, std::invalid_argument);
+  cfg.topology = FabricConfig::Topology::kFullMesh;  // spine_count is ignored
+  EXPECT_NO_THROW(Fabric{cfg});
+}
+
 TEST(Fabric, RealisticNfDeploymentFitsMemoryBudget) {
   // A production-sized NAT + firewall state deployment on 4 switches must
   // fit the ~10 MB SRAM budget the paper centers on.

@@ -66,6 +66,15 @@ TEST(Traffic, GeneratesApproximatelyConfiguredRate) {
   EXPECT_GT(gen.stats().packets_sent, gen.stats().flows_started);  // >= 2 pkts/flow
 }
 
+TEST(Traffic, NonPositiveRateRejected) {
+  Rig rig;
+  TrafficConfig cfg;
+  for (const double rate : {0.0, -5.0}) {
+    cfg.flows_per_sec = rate;
+    EXPECT_THROW(TrafficGenerator(rig.fabric, cfg), std::invalid_argument) << rate;
+  }
+}
+
 TEST(Traffic, DeterministicAcrossRuns) {
   auto run = [](std::uint64_t seed) {
     Rig rig;

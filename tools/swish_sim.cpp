@@ -636,7 +636,14 @@ int main(int argc, char** argv) {
   traffic.reroute_probability = opt.reroute;
   traffic.server_ip = server_ip;
   traffic.seed = opt.seed + 1;
-  workload::TrafficGenerator gen(fabric, traffic);
+  std::optional<workload::TrafficGenerator> gen_storage;
+  try {
+    gen_storage.emplace(fabric, traffic);
+  } catch (const std::invalid_argument&) {
+    std::cerr << "error: --flows-per-sec must be positive (got " << opt.flows_per_sec << ")\n";
+    return 2;
+  }
+  workload::TrafficGenerator& gen = *gen_storage;
   // Liveness for ingress steering in sharded runs: a pure function of the
   // kill/revive schedule and shard 0's clock — the generators must not read
   // another shard's alive flags.
