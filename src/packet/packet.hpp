@@ -19,10 +19,6 @@
 
 #include "packet/headers.hpp"
 
-// Marker for code (benches) that reports the data-path instrumentation
-// counters; absent in older revisions of this header.
-#define SWISH_PACKET_STATS 1
-
 namespace swish::pkt {
 
 /// Parsed view of a packet's stacked headers. Offsets index into the raw

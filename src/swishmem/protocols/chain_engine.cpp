@@ -198,7 +198,22 @@ void ChainEngine::on_write_request(const pkt::WriteRequest& msg) {
   }
 }
 
+template <typename Work>
+void ChainEngine::run_hop(bool table_backed, std::uint64_t write_id, Work&& work) {
+  // Table-backed state is updated through each hop's control plane (§6.1);
+  // register-backed updates run entirely in the data plane. A refused hop is
+  // a gap in the chain that only the writer's retransmit repairs.
+  if (!table_backed) {
+    work();
+  } else if (!host_.sw().control_plane().submit(std::forward<Work>(work))) {
+    host_.report_drop(telemetry::DropReason::kCpBufferFull, write_id);
+  }
+}
+
 void ChainEngine::head_process(pkt::WriteRequest msg) {
+  // Read before `msg` moves into the hop's work.
+  const bool table_backed = ops_table_backed(msg.ops);
+  const std::uint64_t write_id = msg.write_id;
   auto work = [this, msg = std::move(msg), tr = host_.active_trace()]() mutable {
     ActiveTraceScope scope(host_, tr);
     auto dedup = head_assigned_.find(msg.write_id);
@@ -235,25 +250,31 @@ void ChainEngine::head_process(pkt::WriteRequest msg) {
       send_chain_msg(chain_successor(chain), msg);
     }
   };
-  // Table-backed state is updated through each hop's control plane (§6.1);
-  // register-backed updates run entirely in the data plane.
-  if (ops_table_backed(msg.ops)) {
-    host_.sw().control_plane().submit(std::move(work));
-  } else {
-    work();
-  }
+  run_hop(table_backed, write_id, std::move(work));
 }
 
 void ChainEngine::relay_process(pkt::WriteRequest msg) {
+  const bool table_backed = ops_table_backed(msg.ops);
+  const std::uint64_t write_id = msg.write_id;
   auto work = [this, msg = std::move(msg), tr = host_.active_trace()]() mutable {
     ActiveTraceScope scope(host_, tr);
     // Per-slot in-order check: a gap means an earlier write was lost; drop the
-    // whole request and let the writer's retransmit repair the chain.
+    // whole request and let the writer's retransmit repair the chain. Keys of
+    // one write may share a dense guard slot and get consecutive seqs, so each
+    // op is checked against its slot as the write's earlier ops advance it,
+    // which is how the apply loop below leaves it.
     for (std::size_t i = 0; i < msg.ops.size(); ++i) {
       auto it = spaces_.find(msg.ops[i].space);
       if (it == spaces_.end()) continue;
       const SroSpaceState& sp = *it->second;
-      if (msg.seqs[i] > sp.key_guard_seq(msg.ops[i].key) + 1) {
+      const std::size_t slot = sp.slot(msg.ops[i].key);
+      SeqNum guard = sp.key_guard_seq(msg.ops[i].key);
+      for (std::size_t j = 0; j < i; ++j) {
+        if (msg.ops[j].space == msg.ops[i].space && sp.slot(msg.ops[j].key) == slot) {
+          guard = std::max(guard, msg.seqs[j]);
+        }
+      }
+      if (msg.seqs[i] > guard + 1) {
         ++stats_.chain_gap_drops;
         return;
       }
@@ -281,11 +302,7 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
       send_chain_msg(chain_successor(chain), msg);
     }
   };
-  if (ops_table_backed(msg.ops)) {
-    host_.sw().control_plane().submit(std::move(work));
-  } else {
-    work();
-  }
+  run_hop(table_backed, write_id, std::move(work));
 }
 
 void ChainEngine::tail_commit(const pkt::WriteRequest& msg) {

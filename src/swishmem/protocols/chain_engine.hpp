@@ -96,6 +96,8 @@ class ChainEngine : public ProtocolEngine {
   void relay_process(pkt::WriteRequest msg);
   void tail_commit(const pkt::WriteRequest& msg);
   [[nodiscard]] bool ops_table_backed(const std::vector<pkt::WriteOp>& ops) const;
+  template <typename Work>
+  void run_hop(bool table_backed, std::uint64_t write_id, Work&& work);
 
   // Writer side.
   void send_write_request(std::uint64_t write_id);

@@ -197,7 +197,7 @@ class ProtocolEngine {
   /// resulting protocol traffic — possibly from deferred control-plane work.
   /// Returns an unsampled context when tracing is off or sampled out.
   /// Inline: the enabled-but-unsampled steady state must cost only a few
-  /// loads per write (gated at 2% by bench_throughput --overhead-gate).
+  /// loads per write (the TelemetryCost tests check its cost is a constant).
   telemetry::SpanContext trace_origin(const char* name, std::uint32_t space, std::uint64_t key) {
     if (!spans_.enabled()) return {};
     const telemetry::SpanContext parent = active_ctx_;
@@ -241,7 +241,7 @@ class ProtocolEngine {
   /// complete ShmRuntime: the switch id, its span recorder, and the
   /// runtime's active-trace slot (stable addresses for the simulation's
   /// lifetime; reading the slot directly keeps the "tracing on but this
-  /// chain unsampled" check to two loads, bench_throughput --overhead-gate).
+  /// chain unsampled" check to two loads).
   SwitchId self_;
   telemetry::SpanRecorder& spans_;
   const telemetry::SpanContext& active_ctx_;

@@ -271,8 +271,8 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   // Fast path for the sampling-disabled steady state: nothing sampled is in
   // flight and no retransmission context is cached, so there is nothing to
   // attach and nothing to look up. Keeps the send chokepoint near-free when
-  // tracing is enabled but (almost) never sampling — gated at 2% by
-  // bench_throughput --overhead-gate.
+  // tracing is enabled but (almost) never sampling — its cost stays a
+  // constant, checked by the TelemetryCost tests.
   if (!active_trace_.sampled() && send_spans_.empty()) return {};
   const auto identity = send_identity(dst, msg);
   if (identity) {

@@ -227,6 +227,64 @@ TEST(Sro, SharedGuardSlotsFalsePendingRedirects) {
   EXPECT_EQ(rig.drivers[0]->reads_redirected, 1);  // false sharing
 }
 
+TEST(Sro, MultiOpWriteWithKeysSharingAGuardSlotCommits) {
+  // One guard slot: both keys of the write share it, so the head sequences
+  // them g+1 and g+2. A relay must check the second op against the slot as
+  // the first op advances it, not against the guard before the write.
+  FabricConfig cfg;
+  cfg.num_switches = 3;
+  Rig rig(cfg, ConsistencyClass::kSRO, /*guard_slots=*/1);
+  int released = 0;
+  rig.fabric.runtime(1).write({{kSpace, 3, 30}, {kSpace, 4, 40}}, udp(1, 1),
+                              [&released](pkt::Packet&&) { ++released; });
+  rig.fabric.run_for(500 * kMs);
+  EXPECT_EQ(released, 1);
+  EXPECT_EQ(rig.fabric.runtime(1).stats().writes_committed, 1u);
+  EXPECT_EQ(rig.fabric.runtime(1).stats().writes_failed, 0u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(rig.fabric.runtime(i).stats().chain_gap_drops, 0u) << "switch " << i;
+    EXPECT_EQ(rig.fabric.runtime(i).sro_space(kSpace)->read(3).value(), 30u);
+    EXPECT_EQ(rig.fabric.runtime(i).sro_space(kSpace)->read(4).value(), 40u);
+  }
+}
+
+TEST(Sro, RefusedTableBackedHopIsReportedAsCpBufferFull) {
+  // A one-slot control plane refuses a table-backed hop that arrives while
+  // it is busy. Switch 0 (head) and switch 3 (tail) write nothing, so every
+  // job their control plane refuses is chain work and must be reported.
+  FabricConfig cfg = cfg4();
+  cfg.switch_config.control_plane.ops_per_sec = 1000;
+  cfg.switch_config.control_plane.max_queue = 1;
+  Fabric fabric(cfg);
+  SpaceConfig sp;
+  sp.id = kSpace;
+  sp.name = "tbl";
+  sp.cls = ConsistencyClass::kSRO;
+  sp.size = 256;
+  sp.table_backed = true;
+  fabric.add_space(sp);
+  fabric.install(nullptr);
+  fabric.start();
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    fabric.runtime(1).write({{kSpace, k, k + 10}}, udp(1, 1), nullptr);
+    fabric.runtime(2).write({{kSpace, k + 100, k + 20}}, udp(1, 1), nullptr);
+  }
+  fabric.run_for(2 * kSec);
+  const auto counts = fabric.all_drop_counts();
+  std::uint64_t refused = 0;
+  for (std::size_t i : {std::size_t{0}, std::size_t{3}}) {
+    const std::uint64_t dropped = fabric.sw(i).control_plane().stats().dropped;
+    const auto it = counts.find(fabric.sw(i).id());
+    const std::uint64_t reported =
+        it == counts.end()
+            ? 0
+            : it->second[static_cast<std::size_t>(telemetry::DropReason::kCpBufferFull)];
+    EXPECT_EQ(reported, dropped) << "switch " << i;
+    refused += dropped;
+  }
+  EXPECT_GT(refused, 0u) << "scenario never overloaded a chain hop's control plane";
+}
+
 TEST(Sro, WriterOnHeadCommits) {
   Rig rig(cfg4());
   rig.fabric.sw(0).inject(udp(9, 1000));  // switch 0 is the head
