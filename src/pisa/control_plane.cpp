@@ -25,18 +25,34 @@ bool ControlPlane::submit(sim::EventFn job) {
   return true;
 }
 
-sim::TimerHandle ControlPlane::schedule_after(TimeNs delay, std::function<void()> fn) {
-  return sim_.schedule_after(delay, [this, fn = std::move(fn)]() mutable {
-    if (gate_ && !gate_()) return;
-    submit(std::move(fn));
+void ControlPlane::fire(const sim::TimerHandle& handle, std::function<void()> fn) {
+  if (gate_ && !gate_()) return;
+  if (backlog() >= config_.max_queue) {
+    // A refused job would lose the timer for good (a retry timer would
+    // leave its request pending forever): wait for the next free slot.
+    fire_at(sim_.now() + service_time(), handle, std::move(fn));
+    return;
+  }
+  submit([handle, fn = std::move(fn)]() {
+    if (handle.active()) fn();  // cancelled while its job was queued
   });
 }
 
+void ControlPlane::fire_at(TimeNs t, const sim::TimerHandle& handle, std::function<void()> fn) {
+  sim_.schedule_at(
+      t, [this, handle, fn = std::move(fn)]() mutable { fire(handle, std::move(fn)); }, handle);
+}
+
+sim::TimerHandle ControlPlane::schedule_after(TimeNs delay, std::function<void()> fn) {
+  const sim::TimerHandle handle = sim::TimerHandle::fresh();
+  fire_at(sim_.now() + delay, handle, std::move(fn));
+  return handle;
+}
+
 sim::TimerHandle ControlPlane::schedule_periodic(TimeNs period, std::function<void()> fn) {
-  return sim_.schedule_periodic(period, [this, fn = std::move(fn)]() {
-    if (gate_ && !gate_()) return;
-    submit(fn);
-  });
+  const sim::TimerHandle handle = sim::TimerHandle::fresh();
+  return sim_.schedule_periodic(
+      period, [this, handle, fn = std::move(fn)]() { fire(handle, fn); }, handle);
 }
 
 }  // namespace swish::pisa

@@ -52,7 +52,9 @@ class ControlPlane {
   /// submission) observe this as loss and recover via retry.
   bool submit(sim::EventFn job);
 
-  /// Arms a timer; when it fires the callback is charged as a CPU job.
+  /// Arms a timer; when it fires the callback is charged as a CPU job. A
+  /// firing into a full queue waits for a free slot instead of being lost,
+  /// and cancel() also stops a deferred firing or an already queued job.
   sim::TimerHandle schedule_after(TimeNs delay, std::function<void()> fn);
 
   /// Arms a repeating timer; every firing is gated and charged as a CPU job,
@@ -72,6 +74,10 @@ class ControlPlane {
   /// Per-job service time, precomputed once (not worth a floating-point
   /// division on every submit()/backlog() call).
   [[nodiscard]] TimeNs service_time() const noexcept { return service_time_; }
+
+  /// One timer firing (see schedule_after); fire_at schedules one at `t`.
+  void fire(const sim::TimerHandle& handle, std::function<void()> fn);
+  void fire_at(TimeNs t, const sim::TimerHandle& handle, std::function<void()> fn);
 
   sim::Simulator& sim_;
   Config config_;

@@ -60,20 +60,19 @@ Simulator::EventKey Simulator::pop_min() {
   return out;
 }
 
-TimerHandle Simulator::schedule_at(TimeNs t, EventFn fn) {
+TimerHandle Simulator::schedule_at(TimeNs t, EventFn fn, TimerHandle handle) {
   check_time(t);
-  auto cancelled = std::make_shared<bool>(false);
-  push(t, std::move(fn), cancelled);
-  return TimerHandle(std::move(cancelled));
+  push(t, std::move(fn), handle.cancelled_);
+  return handle;
 }
 
-TimerHandle Simulator::schedule_periodic(TimeNs period, std::function<void()> fn) {
+TimerHandle Simulator::schedule_periodic(TimeNs period, std::function<void()> fn,
+                                         TimerHandle handle) {
   if (period <= 0) throw std::invalid_argument("Simulator::schedule_periodic: period must be > 0");
-  auto cancelled = std::make_shared<bool>(false);
   auto state = std::make_shared<PeriodicState>(
-      PeriodicState{this, period, std::move(fn), cancelled});
+      PeriodicState{this, period, std::move(fn), handle.cancelled_});
   push_periodic(std::move(state));
-  return TimerHandle(std::move(cancelled));
+  return handle;
 }
 
 void Simulator::push_periodic(std::shared_ptr<PeriodicState> state) {

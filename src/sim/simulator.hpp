@@ -148,6 +148,10 @@ class TimerHandle {
  public:
   TimerHandle() = default;
 
+  /// A handle bound to no event yet; every event scheduled under it shares
+  /// its cancel() (e.g. a timer firing that is deferred and re-scheduled).
+  [[nodiscard]] static TimerHandle fresh() { return TimerHandle(std::make_shared<bool>(false)); }
+
   /// Cancels the event if it has not fired yet. Idempotent.
   void cancel() noexcept {
     if (cancelled_) *cancelled_ = true;
@@ -215,9 +219,9 @@ class Simulator {
   /// Fire-and-forget: runs `fn` `delay` nanoseconds from now.
   void post_after(TimeNs delay, EventFn fn) { post_at(now_ + delay, std::move(fn)); }
 
-  /// Schedules `fn` to run at absolute virtual time `t` (>= now); the
-  /// returned handle can cancel it.
-  TimerHandle schedule_at(TimeNs t, EventFn fn);
+  /// Schedules `fn` to run at absolute virtual time `t` (>= now) under
+  /// `handle` (a fresh one by default), which is returned and can cancel it.
+  TimerHandle schedule_at(TimeNs t, EventFn fn, TimerHandle handle = TimerHandle::fresh());
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
   TimerHandle schedule_after(TimeNs delay, EventFn fn) {
@@ -225,8 +229,9 @@ class Simulator {
   }
 
   /// Schedules `fn` every `period` ns, first firing at now + period, until the
-  /// returned handle is cancelled.
-  TimerHandle schedule_periodic(TimeNs period, std::function<void()> fn);
+  /// returned handle (`handle`, a fresh one by default) is cancelled.
+  TimerHandle schedule_periodic(TimeNs period, std::function<void()> fn,
+                                TimerHandle handle = TimerHandle::fresh());
 
   /// Runs events until the queue is empty or `stop()` is called.
   void run();

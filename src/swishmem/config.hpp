@@ -133,9 +133,11 @@ struct SpaceConfig {
 
 /// Per-switch runtime tuning.
 struct RuntimeConfig {
+  // Retry path of every protocol request (protocols/engine.hpp) --------------
+  TimeNs write_retry_timeout = 5 * kMs;   ///< CP retransmit interval; kCON repair tick
+  unsigned max_write_retries = 20;        ///< resends before a request is dropped
+
   // SRO ------------------------------------------------------------------
-  TimeNs write_retry_timeout = 5 * kMs;   ///< writer CP retransmit interval
-  unsigned max_write_retries = 20;
   std::size_t cp_buffer_limit = 100'000;  ///< buffered output packets (CP DRAM)
 
   // EWO ------------------------------------------------------------------
@@ -152,10 +154,6 @@ struct RuntimeConfig {
   std::size_t own_queue_limit = 1024;
 
   // CON ------------------------------------------------------------------
-  /// Coordinator retransmit interval for unaccepted consensus slots, and the
-  /// follower-side forward retry interval.
-  TimeNs con_retry_timeout = 5 * kMs;
-  unsigned con_max_retries = 20;          ///< per-slot retransmit budget
   /// Read-lease duration refreshed by each accept/learn a replica receives
   /// from the current-ballot coordinator. A fresh lease lets the replica
   /// answer reads locally with BOUNDED STALENESS — the coordinator commits

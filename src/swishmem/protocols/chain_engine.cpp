@@ -7,7 +7,15 @@
 
 namespace swish::shm {
 
-ChainEngine::ChainEngine(ShmRuntime& host, const char* proto_name) : ProtocolEngine(host) {
+ChainEngine::ChainEngine(ShmRuntime& host, const char* proto_name)
+    : ProtocolEngine(host),
+      pending_(host,
+               {telemetry::DropReason::kWriteRetriesExhausted, &stats_.write_retries,
+                &stats_.writes_failed},
+               {&stats_.writes_committed, &stats_.write_latency, "commit_ack"},
+               [this](std::uint64_t id, WriteTable::Entry& e) {
+                 send_write_request(id, e.payload);
+               }) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix(proto_name);
   stats_.writes_submitted = reg.counter(p + "writes_submitted");
@@ -52,8 +60,9 @@ const SroSpaceState* ChainEngine::space_state(std::uint32_t id) const {
 
 void ChainEngine::reset() {
   for (auto& [id, sp] : spaces_) sp->reset(host_.sw().control_plane().token());
-  for (auto& [id, pw] : pending_writes_) pw.retry_timer.cancel();
-  pending_writes_.clear();
+  // Write ids keep counting across a wipe: other switches' head dedup maps
+  // may still hold this switch's earlier ids.
+  pending_.clear();
   head_assigned_.clear();
 }
 
@@ -99,74 +108,39 @@ SwitchId ChainEngine::chain_successor(const pkt::ChainConfig& chain) const noexc
 
 void ChainEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output, WriteRelease release) {
   ++stats_.writes_submitted;
-  if (pending_writes_.size() >= host_.config().cp_buffer_limit) {
+  if (pending_.size() >= host_.config().cp_buffer_limit) {
     ++stats_.writes_rejected;
     host_.report_drop(telemetry::DropReason::kCpBufferFull, ops.front().key);
     return;
   }
-  // 40-bit mask: the counter must never wrap into the switch-id bits (same
-  // id-minting scheme as OwnerEngine req_ids).
-  const std::uint64_t id = (static_cast<std::uint64_t>(host_.self()) << 40) |
-                           (++next_write_id_ & ((1ULL << 40) - 1));
-  PendingWrite pw;
-  pw.ops = std::move(ops);
-  pw.output = std::move(output);
-  pw.release = std::move(release);
-  pw.submit_time = host_.sw().simulator().now();
-  pw.trace = trace_origin("chain_write", pw.ops.front().space, pw.ops.front().key);
+  const std::uint64_t id = pending_.mint_id();
+  const std::uint32_t space = ops.front().space;
+  const telemetry::SpanContext trace = trace_origin("chain_write", space, ops.front().key);
   // Commit-at-origin for lag accounting is the submit: each chain member is
   // one expected apply (the writer re-counts itself if in the chain).
-  const auto expected =
-      static_cast<std::uint32_t>(host_.chain_for(pw.ops.front().space).chain.size());
-  for (const auto& op : pw.ops) obs_.on_commit(op.space, op.key, id, host_.self(), expected);
-  const telemetry::SpanContext tr = pw.trace;
-  pending_writes_.emplace(id, std::move(pw));
+  const auto expected = static_cast<std::uint32_t>(host_.chain_for(space).chain.size());
+  for (const auto& op : ops) obs_.on_commit(op.space, op.key, id, host_.self(), expected);
+  pending_.open(id,
+                {std::move(ops), std::move(output), std::move(release),
+                 host_.sw().simulator().now()},
+                trace, id);
   // The control plane buffers P' and issues the write request (§6.1).
-  const bool accepted = host_.sw().control_plane().submit([this, id, tr]() {
-    ActiveTraceScope scope(host_, tr);
-    send_write_request(id);
-    arm_retry(id);
-  });
-  if (!accepted) {
-    pending_writes_.erase(id);
+  if (!host_.sw().control_plane().submit([this, id]() { pending_.transmit(id); })) {
+    pending_.close(id);
     ++stats_.writes_rejected;
     host_.report_drop(telemetry::DropReason::kCpBufferFull, id);
   }
 }
 
-void ChainEngine::send_write_request(std::uint64_t write_id) {
-  auto it = pending_writes_.find(write_id);
-  if (it == pending_writes_.end()) return;
-  const pkt::ChainConfig& chain = host_.chain_for(it->second.ops.front().space);
+void ChainEngine::send_write_request(std::uint64_t write_id, const PendingWrite& pw) {
+  const pkt::ChainConfig& chain = host_.chain_for(pw.ops.front().space);
   if (chain.chain.empty()) return;  // no chain configured yet; retry later
   pkt::WriteRequest req;
   req.epoch = chain.epoch;
   req.writer = host_.self();
   req.write_id = write_id;
-  req.ops = it->second.ops;
+  req.ops = pw.ops;
   send_chain_msg(chain.chain.front(), req);
-}
-
-void ChainEngine::arm_retry(std::uint64_t write_id) {
-  auto it = pending_writes_.find(write_id);
-  if (it == pending_writes_.end()) return;
-  it->second.retry_timer = host_.sw().control_plane().schedule_after(
-      host_.config().write_retry_timeout, [this, write_id]() {
-        auto pit = pending_writes_.find(write_id);
-        if (pit == pending_writes_.end()) return;  // already committed
-        if (++pit->second.retries > host_.config().max_write_retries) {
-          ++stats_.writes_failed;
-          host_.report_drop(telemetry::DropReason::kWriteRetriesExhausted, write_id);
-          pending_writes_.erase(pit);
-          return;
-        }
-        ++stats_.write_retries;
-        // The retransmission stays on the original write's causal chain; the
-        // runtime's send-identity cache reuses the first transmission's span.
-        ActiveTraceScope scope(host_, pit->second.trace);
-        send_write_request(write_id);
-        arm_retry(write_id);
-      });
 }
 
 // ---------------------------------------------------------------------------
@@ -332,27 +306,7 @@ void ChainEngine::tail_commit(const pkt::WriteRequest& msg) {
 void ChainEngine::on_write_ack(const pkt::WriteAck& msg) {
   // Writer side: release the buffered output packet (via the CP, which
   // injects it back into the data plane, §7).
-  if (msg.writer == host_.self()) {
-    auto it = pending_writes_.find(msg.write_id);
-    if (it != pending_writes_.end()) {
-      it->second.retry_timer.cancel();
-      ++stats_.writes_committed;
-      if (!msg.ops.empty()) {
-        trace_point("commit_ack", msg.ops.front().space, msg.ops.front().key);
-      }
-      stats_.write_latency.add(static_cast<std::uint64_t>(host_.sw().simulator().now() -
-                                                          it->second.submit_time));
-      auto release = std::move(it->second.release);
-      auto output = std::move(it->second.output);
-      pending_writes_.erase(it);
-      if (release) {
-        host_.sw().control_plane().submit(
-            [release = std::move(release), output = std::move(output)]() mutable {
-              release(std::move(output));
-            });
-      }
-    }
-  }
+  if (msg.writer == host_.self()) pending_.commit(msg.write_id);
   // Ack processing in the data plane (§3.3): clear pending bits.
   for (std::size_t i = 0; i < msg.ops.size() && i < msg.seqs.size(); ++i) {
     auto it = spaces_.find(msg.ops[i].space);

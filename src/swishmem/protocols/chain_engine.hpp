@@ -67,9 +67,7 @@ class ChainEngine : public ProtocolEngine {
   // -- Introspection used by the runtime's legacy accessors/stats ---------------
   [[nodiscard]] const SroSpaceState* space_state(std::uint32_t id) const;
   [[nodiscard]] const Stats& chain_stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t cp_buffered_packets() const noexcept {
-    return pending_writes_.size();
-  }
+  [[nodiscard]] std::size_t cp_buffered_packets() const noexcept { return pending_.size(); }
 
  protected:
   /// Read-locality policy: true when a read of `key` may be served locally
@@ -77,16 +75,6 @@ class ChainEngine : public ProtocolEngine {
   [[nodiscard]] virtual bool always_local() const noexcept = 0;
 
  private:
-  struct PendingWrite {
-    std::vector<pkt::WriteOp> ops;
-    pkt::Packet output;
-    WriteRelease release;
-    unsigned retries = 0;
-    TimeNs submit_time = 0;
-    sim::TimerHandle retry_timer;
-    telemetry::SpanContext trace;  ///< causal chain of this write (if sampled)
-  };
-
   // Message handlers.
   void on_write_request(const pkt::WriteRequest& msg);
   void on_write_ack(const pkt::WriteAck& msg);
@@ -99,9 +87,8 @@ class ChainEngine : public ProtocolEngine {
   template <typename Work>
   void run_hop(bool table_backed, std::uint64_t write_id, Work&& work);
 
-  // Writer side.
-  void send_write_request(std::uint64_t write_id);
-  void arm_retry(std::uint64_t write_id);
+  // Writer side: (re)sends a pending write to the chain head.
+  void send_write_request(std::uint64_t write_id, const PendingWrite& pw);
 
   // Transport helpers accounting into bytes_write.
   void send_chain_msg(SwitchId dst, const pkt::SwishMessage& msg);
@@ -112,14 +99,11 @@ class ChainEngine : public ProtocolEngine {
   std::unordered_map<std::uint32_t, std::unique_ptr<SroSpaceState>> spaces_;
   std::unordered_map<std::uint32_t, SpaceConfig> remote_spaces_;
 
-  // Writer state (CP DRAM).
-  std::unordered_map<std::uint64_t, PendingWrite> pending_writes_;
-  std::uint64_t next_write_id_ = 0;
-
   // Head dedup: write_id -> assigned seqs for in-flight writes.
   std::unordered_map<std::uint64_t, std::vector<SeqNum>> head_assigned_;
 
   Stats stats_;
+  WriteTable pending_;  ///< writer state (CP DRAM)
 };
 
 /// Strong Read Optimized (§6.1): CRAQ-style local reads, pending registers

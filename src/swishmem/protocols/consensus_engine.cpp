@@ -22,7 +22,15 @@ SwitchId ballot_owner(std::uint64_t ballot) noexcept {
 
 }  // namespace
 
-ConsensusEngine::ConsensusEngine(ShmRuntime& host) : ProtocolEngine(host) {
+ConsensusEngine::ConsensusEngine(ShmRuntime& host)
+    : ProtocolEngine(host),
+      pending_(host,
+               {telemetry::DropReason::kQuorumUnreachable, &stats_.forward_retries,
+                &stats_.writes_failed},
+               {&stats_.writes_committed, &stats_.commit_latency, "con_commit_ack"},
+               [this](std::uint64_t req_id, WriteTable::Entry& e) {
+                 send_forward(req_id, e.payload);
+               }) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("con");
   stats_.writes_submitted = reg.counter(p + "writes_submitted");
@@ -60,7 +68,7 @@ const SroSpaceState* ConsensusEngine::space_state(std::uint32_t id) const {
 }
 
 void ConsensusEngine::start() {
-  host_.every(host_.config().con_retry_timeout, [this]() { repair_tick(); });
+  host_.every(host_.config().write_retry_timeout, [this]() { repair_tick(); });
   // Configuration bootstrap has run: adopt the initial coordinator (and run
   // the first election if that is us).
   on_config_update();
@@ -68,8 +76,8 @@ void ConsensusEngine::start() {
 
 void ConsensusEngine::reset() {
   for (auto& [id, sp] : spaces_) sp->reset(host_.sw().control_plane().token());
-  for (auto& [id, pw] : pending_writes_) pw.retry_timer.cancel();
-  pending_writes_.clear();
+  pending_.clear();
+  pending_.restart_ids();
   log_.clear();
   progress_.clear();
   promises_.clear();
@@ -84,7 +92,6 @@ void ConsensusEngine::reset() {
   ballot_ = 0;
   electing_ = false;
   next_slot_ = 0;
-  next_req_id_ = 0;
 }
 
 const std::vector<SwitchId>& ConsensusEngine::members() const noexcept {
@@ -251,14 +258,14 @@ void ConsensusEngine::finish_election() {
   // Writes queued while the election ran (our own, or ones whose forward
   // landed before we were deposed elsewhere) get proposed now.
   std::vector<std::uint64_t> backlog;
-  for (const auto& [req_id, pw] : pending_writes_) {
+  for (const auto& [req_id, entry] : pending_.entries()) {
     if (!sequenced_.contains({host_.self(), req_id})) backlog.push_back(req_id);
   }
   for (std::uint64_t req_id : backlog) {
-    auto it = pending_writes_.find(req_id);
-    if (it == pending_writes_.end()) continue;
-    ActiveTraceScope scope(host_, it->second.trace);
-    propose(LogEntry{ballot_, host_.self(), req_id, it->second.ops});
+    const WriteTable::Entry* entry = pending_.find(req_id);
+    if (entry == nullptr) continue;
+    ActiveTraceScope scope(host_, entry->trace);
+    propose(LogEntry{ballot_, host_.self(), req_id, entry->payload.ops});
   }
 }
 
@@ -269,100 +276,35 @@ void ConsensusEngine::finish_election() {
 void ConsensusEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
                             WriteRelease release) {
   ++stats_.writes_submitted;
-  if (pending_writes_.size() >= host_.config().con_queue_limit) {
+  if (pending_.size() >= host_.config().con_queue_limit) {
     ++stats_.writes_rejected;
     host_.report_drop(telemetry::DropReason::kConQueueOverflow, ops.front().key);
     return;
   }
-  const std::uint64_t req_id = mint_req_id();
-  PendingWrite pw;
-  pw.submit_time = host_.sw().simulator().now();
-  pw.trace = trace_origin("con_write", ops.front().space, ops.front().key);
-  pw.ops = std::move(ops);
-  pw.output = std::move(output);
-  pw.release = std::move(release);
-  const telemetry::SpanContext tr = pw.trace;
-  pending_writes_.emplace(req_id, std::move(pw));
-  ActiveTraceScope scope(host_, tr);
-  if (is_coordinator() && !electing_) {
-    // NOTE: a single-replica group commits and applies synchronously here,
-    // which releases (and erases) the pending write before this returns
-    // (making the arm below a no-op).
-    propose(LogEntry{ballot_, host_.self(),  req_id,
-                     pending_writes_.at(req_id).ops});
-    // Coordinator-path writes need the retry timer too: if we are deposed
-    // with the slot in flight and the successor supersedes it (no-op fill),
-    // the retry re-routes the write to the new coordinator — or fails it
-    // after the budget — instead of stranding it (and its buffered output
-    // packet) forever.
-    arm_forward_retry(req_id);
-    return;
-  }
-  ++stats_.forwards_sent;
-  send_forward(req_id);
-  arm_forward_retry(req_id);
+  const std::uint64_t req_id = pending_.mint_id();
+  const telemetry::SpanContext trace =
+      trace_origin("con_write", ops.front().space, ops.front().key);
+  pending_.open(req_id,
+                {std::move(ops), std::move(output), std::move(release),
+                 host_.sw().simulator().now()},
+                trace, req_id);
+  // A follower forwards; the coordinator proposes at once. A single-replica
+  // group commits and releases (closes) the write before transmit returns.
+  if (!is_coordinator() || electing_) ++stats_.forwards_sent;
+  pending_.transmit(req_id);
 }
 
-void ConsensusEngine::send_forward(std::uint64_t req_id) {
-  auto it = pending_writes_.find(req_id);
-  if (it == pending_writes_.end()) return;
+void ConsensusEngine::send_forward(std::uint64_t req_id, const PendingWrite& pw) {
   if (is_coordinator()) {
     // A coordinator change landed this write on us: propose instead of
     // forwarding (sequenced_ guards against double-proposal on retries).
     if (!electing_ && !sequenced_.contains({host_.self(), req_id})) {
-      propose(LogEntry{ballot_, host_.self(), req_id, it->second.ops});
+      propose(LogEntry{ballot_, host_.self(), req_id, pw.ops});
     }
     return;
   }
   if (coordinator_ == kInvalidNode) return;  // retry after the config push
-  deliver(coordinator_, pkt::ConForward{epoch(), host_.self(), req_id, it->second.ops});
-}
-
-void ConsensusEngine::arm_forward_retry(std::uint64_t req_id) {
-  auto it = pending_writes_.find(req_id);
-  if (it == pending_writes_.end()) return;
-  it->second.retry_timer = host_.sw().control_plane().schedule_after(
-      host_.config().con_retry_timeout, [this, req_id]() {
-        auto pit = pending_writes_.find(req_id);
-        if (pit == pending_writes_.end()) return;  // applied and released
-        if (++pit->second.retries > host_.config().con_max_retries) {
-          // The forward/propose budget ran dry: no quorum (or coordinator)
-          // was reachable within the retry window.
-          ++stats_.writes_failed;
-          host_.report_drop(telemetry::DropReason::kQuorumUnreachable, req_id);
-          pending_writes_.erase(pit);
-          return;
-        }
-        ++stats_.forward_retries;
-        // Retries recompute the coordinator (election survival) and stay on
-        // the original causal chain.
-        ActiveTraceScope scope(host_, pit->second.trace);
-        send_forward(req_id);
-        arm_forward_retry(req_id);
-      });
-}
-
-void ConsensusEngine::release_write(SwitchId writer, std::uint64_t req_id) {
-  if (writer != host_.self()) return;
-  auto it = pending_writes_.find(req_id);
-  if (it == pending_writes_.end()) return;
-  it->second.retry_timer.cancel();
-  ++stats_.writes_committed;
-  stats_.commit_latency.add(
-      static_cast<std::uint64_t>(host_.sw().simulator().now() - it->second.submit_time));
-  if (!it->second.ops.empty()) {
-    trace_point("con_commit_ack", it->second.ops.front().space, it->second.ops.front().key);
-  }
-  auto release = std::move(it->second.release);
-  auto output = std::move(it->second.output);
-  pending_writes_.erase(it);
-  if (release) {
-    // Like the chain writer: the CP re-injects the buffered output packet.
-    host_.sw().control_plane().submit(
-        [release = std::move(release), output = std::move(output)]() mutable {
-          release(std::move(output));
-        });
-  }
+  deliver(coordinator_, pkt::ConForward{epoch(), host_.self(), req_id, pw.ops});
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +546,8 @@ void ConsensusEngine::apply_entry(std::uint64_t slot, const LogEntry& entry) {
   if (!entry.ops.empty()) {
     trace_point("con_apply", entry.ops.front().space, entry.ops.front().key);
   }
-  release_write(entry.writer, entry.req_id);
+  // The transaction reached the applied log: release it if it is ours.
+  if (entry.writer == host_.self()) pending_.commit(entry.req_id);
 }
 
 // ---------------------------------------------------------------------------

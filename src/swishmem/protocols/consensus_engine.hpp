@@ -122,17 +122,6 @@ class ConsensusEngine final : public ProtocolEngine {
     bool committed = false;
   };
 
-  /// Writer-side pending submission (local or forwarded).
-  struct PendingWrite {
-    std::vector<pkt::WriteOp> ops;
-    pkt::Packet output;
-    WriteRelease release;
-    TimeNs submit_time = 0;
-    unsigned retries = 0;
-    sim::TimerHandle retry_timer;  ///< forward retry / deposed-coordinator re-route
-    telemetry::SpanContext trace;
-  };
-
   void on_forward(const pkt::ConForward& msg);
   void on_prepare(const pkt::ConPrepare& msg);
   void on_promise(const pkt::ConPromise& msg);
@@ -147,9 +136,9 @@ class ConsensusEngine final : public ProtocolEngine {
   /// Coordinator: advances the contiguous commit prefix, applies newly
   /// committed slots, releases matching local writes, notifies learners.
   void advance_commit();
-  /// Follower: forwards a pending write to the coordinator (with retry).
-  void send_forward(std::uint64_t req_id);
-  void arm_forward_retry(std::uint64_t req_id);
+  /// Routes a pending write to the coordinator (proposing it when that is
+  /// us); as the resend, it recomputes the coordinator to survive elections.
+  void send_forward(std::uint64_t req_id, const PendingWrite& pw);
   /// Marks log entries in (applied prefix, `upto`] as chosen, but only those
   /// accepted under at least `ballot` — anything older may be a superseded
   /// minority accept and stays a gap for the repair loop to re-learn.
@@ -165,18 +154,12 @@ class ConsensusEngine final : public ProtocolEngine {
   /// Election: become coordinator for the current epoch (phase 1).
   void begin_election();
   void finish_election();
-  /// Releases a pending write whose transaction reached the applied log.
-  void release_write(SwitchId writer, std::uint64_t req_id);
   void refresh_lease(std::uint64_t ballot);
 
   void deliver(SwitchId dst, const pkt::SwishMessage& msg);
   [[nodiscard]] const std::vector<SwitchId>& members() const noexcept;
   [[nodiscard]] std::size_t quorum() const noexcept { return members().size() / 2 + 1; }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return host_.group().epoch; }
-  [[nodiscard]] std::uint64_t mint_req_id() noexcept {
-    return (static_cast<std::uint64_t>(host_.self()) << 40) |
-           (++next_req_id_ & ((1ULL << 40) - 1));
-  }
 
   std::map<std::uint32_t, std::unique_ptr<SroSpaceState>> spaces_;
 
@@ -200,11 +183,13 @@ class ConsensusEngine final : public ProtocolEngine {
   /// 65536 entries (same bound as the chain head's dedup map).
   std::map<std::pair<SwitchId, std::uint64_t>, std::uint64_t> sequenced_;
 
-  // -- Writer state ------------------------------------------------------------
-  std::map<std::uint64_t, PendingWrite> pending_writes_;  ///< req_id -> write
-  std::uint64_t next_req_id_ = 0;
-
   Stats stats_;
+
+  // -- Writer state ------------------------------------------------------------
+  /// req_id -> pending write, local or forwarded. Coordinator-path writes
+  /// retry too: deposed with the slot in flight, a write re-routes (or fails
+  /// after the budget) instead of stranding its buffered output packet.
+  WriteTable pending_;
 };
 
 }  // namespace swish::shm

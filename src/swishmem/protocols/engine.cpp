@@ -123,6 +123,46 @@ std::string ProtocolEngine::metric_prefix(const char* proto_name) const {
   return "shm.sw" + std::to_string(host_.self()) + "." + proto_name + ".";
 }
 
+std::uint64_t RetryPath::mint_id() noexcept {
+  return (static_cast<std::uint64_t>(host_.self()) << 40) | (++next_id_ & ((1ULL << 40) - 1));
+}
+
+sim::TimerHandle RetryPath::arm_timer(std::function<void()> fire) {
+  return host_.sw().control_plane().schedule_after(host_.config().write_retry_timeout,
+                                                   std::move(fire));
+}
+
+bool RetryPath::charge(unsigned& retries, std::uint64_t detail) {
+  if (++retries > host_.config().max_write_retries) {
+    if (policy_.failed != nullptr) ++*policy_.failed;
+    host_.report_drop(policy_.exhausted, detail);
+    return false;
+  }
+  ++*policy_.retries;
+  return true;
+}
+
+void WriteTable::commit(std::uint64_t id) {
+  std::optional<Entry> entry = close(id);
+  if (!entry) return;
+  PendingWrite& pw = entry->payload;
+  ++*commit_.committed;
+  commit_.latency->add(
+      static_cast<std::uint64_t>(host_.sw().simulator().now() - pw.submit_time));
+  telemetry::SpanRecorder& spans = host_.sw().spans();
+  if (spans.enabled() && host_.active_trace().sampled()) {
+    spans.record_instant(host_.active_trace(), host_.self(), commit_.trace_point,
+                         pw.ops.front().space, pw.ops.front().key);
+  }
+  if (!pw.release) return;
+  // The CP re-injects the buffered output packet into the data plane (§7).
+  const bool accepted = host_.sw().control_plane().submit(
+      [release = std::move(pw.release), output = std::move(pw.output)]() mutable {
+        release(std::move(output));
+      });
+  if (!accepted) host_.report_drop(telemetry::DropReason::kCpBufferFull, id);
+}
+
 void check_servable(const SpaceConfig& config) {
   const auto reject = [&config](const std::string& why) {
     throw std::invalid_argument("space '" + config.name + "' (" + to_string(config.cls) + ", " +

@@ -15,10 +15,20 @@
 // declare the wire message types it consumes (the runtime builds a
 // (message type -> engine) dispatch registry from message_types()), and add
 // a case to make_engine() in registry.cpp.
+//
+// One retransmit path (RetryTable, below): a chain write, a kCON write, an
+// OWN acquisition and a §6.3 recovery chunk are each one RetryTable entry,
+// resent every write_retry_timeout at most max_write_retries times, then
+// dropped as kWriteRetriesExhausted (chain head / OWN home unreachable),
+// kQuorumUnreachable (kCON) or kRecoveryAbandoned (stream target). Its timer
+// is a ControlPlane timer, which defers a firing the CPU cannot take rather
+// than losing it; CP work that cannot wait (a write's release, a chain hop)
+// is reported as kCpBufferFull when refused.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,8 +37,10 @@
 #include "common/types.hpp"
 #include "packet/packet.hpp"
 #include "packet/swish_wire.hpp"
+#include "sim/simulator.hpp"
 #include "swishmem/config.hpp"
 #include "swishmem/store/ordered_index.hpp"
+#include "telemetry/drop.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/observatory.hpp"
 #include "telemetry/span.hpp"
@@ -245,6 +257,147 @@ class ProtocolEngine {
   SwitchId self_;
   telemetry::SpanRecorder& spans_;
   const telemetry::SpanContext& active_ctx_;
+};
+
+/// What one user of the retry path fixes for all its requests; the counters
+/// are the owner's and must outlive the table.
+struct RetryPolicy {
+  telemetry::DropReason exhausted;  ///< reported when a request's budget is spent
+  telemetry::Counter* retries;      ///< bumped per retransmission
+  telemetry::Counter* failed;       ///< bumped per spent request (nullptr: not counted)
+};
+
+/// RetryTable's runtime calls, out of the template (ShmRuntime is incomplete here).
+class RetryPath {
+ public:
+  /// A fabric-unique request id: the switch id above a 40-bit counter.
+  [[nodiscard]] std::uint64_t mint_id() noexcept;
+  void restart_ids() noexcept { next_id_ = 0; }
+  RetryPath(const RetryPath&) = delete;  // armed timers hold its address
+  RetryPath& operator=(const RetryPath&) = delete;
+
+ protected:
+  RetryPath(ShmRuntime& host, RetryPolicy policy) : host_(host), policy_(policy) {}
+  /// Arms the CP retry timer (write_retry_timeout).
+  [[nodiscard]] sim::TimerHandle arm_timer(std::function<void()> fire);
+  /// Charges a timeout: true when a resend is due (counted), false when the
+  /// budget is spent (the failure counted and reported with `detail`).
+  bool charge(unsigned& retries, std::uint64_t detail);
+
+  ShmRuntime& host_;
+
+ private:
+  RetryPolicy policy_;
+  std::uint64_t next_id_ = 0;
+};
+
+/// Outstanding requests by key, each resent on a CP timeout (file comment).
+template <typename Key, typename Payload>
+class RetryTable : public RetryPath {
+ public:
+  struct Entry {
+    Payload payload;
+    telemetry::SpanContext trace;   ///< re-entered around every transmission
+    std::uint64_t drop_detail = 0;  ///< reported if the budget is spent
+    unsigned retries = 0;
+    sim::TimerHandle timer;
+  };
+  /// Sends an entry's request, inside its trace; may close the entry.
+  using Resend = std::function<void(const Key&, Entry&)>;
+  /// Runs once a spent request's entry is reclaimed.
+  using OnExhausted = std::function<void(const Key&)>;
+
+  RetryTable(ShmRuntime& host, RetryPolicy policy, Resend resend, OnExhausted on_exhausted = {})
+      : RetryPath(host, policy),
+        resend_(std::move(resend)),
+        on_exhausted_(std::move(on_exhausted)) {}
+
+  /// Opens a new request's entry; nothing is sent yet.
+  void open(const Key& key, Payload payload, const telemetry::SpanContext& trace,
+            std::uint64_t drop_detail) {
+    entries_.emplace(key, Entry{std::move(payload), trace, drop_detail, 0, {}});
+  }
+  /// Sends an open request and arms its retry timer.
+  void transmit(const Key& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    ActiveTraceScope scope(host_, it->second.trace);
+    resend_(key, it->second);
+    arm(key);
+  }
+  /// Arms the retry timer alone: the first timeout makes the first send.
+  void arm(const Key& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return;  // closed during its own transmission
+    it->second.timer = arm_timer([this, key]() { expire(key); });
+  }
+  /// Closes an answered request (nullopt when not open).
+  std::optional<Entry> close(const Key& key) {
+    auto node = entries_.extract(key);
+    if (node.empty()) return std::nullopt;
+    node.mapped().timer.cancel();
+    return std::move(node.mapped());
+  }
+  /// Closes every request unreported (state wipe).
+  void clear() {
+    for (auto& [key, entry] : entries_) entry.timer.cancel();
+    entries_.clear();
+  }
+
+  [[nodiscard]] Entry* find(const Key& key) {
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] const std::map<Key, Entry>& entries() const noexcept { return entries_; }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+
+ private:
+  void expire(const Key& key) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    if (charge(it->second.retries, it->second.drop_detail)) {
+      transmit(key);
+      return;
+    }
+    entries_.erase(it);
+    if (on_exhausted_) on_exhausted_(key);
+  }
+
+  Resend resend_;
+  OnExhausted on_exhausted_;
+  std::map<Key, Entry> entries_;
+};
+
+/// A write buffered in CP DRAM until it commits (§6.1): the chain and kCON
+/// writers' pending-write record.
+struct PendingWrite {
+  std::vector<pkt::WriteOp> ops;
+  pkt::Packet output;
+  WriteRelease release;
+  TimeNs submit_time = 0;
+};
+
+/// What a writer counts and traces when one of its writes commits.
+struct CommitPolicy {
+  telemetry::Counter* committed;
+  telemetry::Histo* latency;  ///< submit -> commit at the writer, ns
+  const char* trace_point;    ///< span recorded at the commit
+};
+
+/// The chain and kCON writers' side: pending writes by minted id on the
+/// retry path, and one commit path.
+class WriteTable : public RetryTable<std::uint64_t, PendingWrite> {
+ public:
+  WriteTable(ShmRuntime& host, RetryPolicy retry, CommitPolicy commit, Resend resend)
+      : RetryTable(host, retry, std::move(resend)), commit_(commit) {}
+
+  /// Commits write `id` if pending here: closes it, counts the commit and
+  /// its latency, records the trace point and releases the output through
+  /// the CP, reporting kCpBufferFull if the CPU refuses the release.
+  void commit(std::uint64_t id);
+
+ private:
+  CommitPolicy commit_;
 };
 
 /// Install check every engine's add_space runs: throws std::invalid_argument,

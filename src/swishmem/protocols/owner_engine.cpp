@@ -7,7 +7,16 @@
 
 namespace swish::shm {
 
-OwnerEngine::OwnerEngine(ShmRuntime& host) : ProtocolEngine(host) {
+OwnerEngine::OwnerEngine(ShmRuntime& host)
+    : ProtocolEngine(host),
+      pending_acquires_(host,
+                        {telemetry::DropReason::kWriteRetriesExhausted,
+                         &stats_.acquisition_retries, &stats_.acquisitions_failed},
+                        [this](const KeyRef& ref, auto& e) {
+                          deliver(home_of(ref.first, ref.second),
+                                  pkt::OwnRequest{ref.first, ref.second, host_.self(),
+                                                  e.payload.req_id, /*revoke=*/false});
+                        }) {
   telemetry::MetricsRegistry& reg = host_metrics();
   const std::string p = metric_prefix("own");
   stats_.reads = reg.counter(p + "reads");
@@ -40,7 +49,6 @@ void OwnerEngine::start() {
 
 void OwnerEngine::reset() {
   for (auto& [id, sp] : spaces_) sp->reset();
-  for (auto& [key, pa] : pending_acquires_) pa.retry_timer.cancel();
   pending_acquires_.clear();
   // Home-side pending grants carry no timers (the requester's retry re-drives
   // a lost migration), so clearing the map is the whole cleanup.
@@ -48,7 +56,7 @@ void OwnerEngine::reset() {
   // A replacement switch boots empty: the req_id counter restarts too. Stale
   // grants addressed to the pre-failure incarnation are rejected by the
   // req_id guard on the (freshly emptied) pending_acquires_ map.
-  next_req_id_ = 0;
+  pending_acquires_.restart_ids();
 }
 
 void OwnerEngine::on_config_update() {
@@ -119,15 +127,7 @@ bool OwnerEngine::owns(std::uint32_t space, std::uint64_t key) const {
 
 void OwnerEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
   if (dst == host_.self()) {
-    // A switch can be requester, home, and owner in any combination; local
-    // hops skip the wire.
-    if (const auto* req = std::get_if<pkt::OwnRequest>(&msg)) {
-      on_own_request(*req);
-    } else if (const auto* grant = std::get_if<pkt::OwnGrant>(&msg)) {
-      on_own_grant(*grant);
-    } else if (const auto* update = std::get_if<pkt::OwnUpdate>(&msg)) {
-      on_own_update(*update);
-    }
+    handle_message(msg);
     return;
   }
   stats_.bytes += host_.send(dst, msg);
@@ -220,8 +220,8 @@ void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, Queue
     return;
   }
   const KeyRef ref{space, key};
-  auto pit = pending_acquires_.find(ref);
-  if (pit == pending_acquires_.end()) {
+  auto* pending = pending_acquires_.find(ref);
+  if (pending == nullptr) {
     begin_acquire(space, key);
     // When this switch is its own home (or the whole path is local) the grant
     // installs synchronously inside begin_acquire.
@@ -229,15 +229,16 @@ void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, Queue
       apply_owned(st, space, key, op);
       return;
     }
-    pit = pending_acquires_.find(ref);
-    if (pit == pending_acquires_.end()) return;  // acquisition not startable
+    pending = pending_acquires_.find(ref);
+    if (pending == nullptr) return;  // acquisition not startable
   }
-  if (pit->second.queue.size() >= host_.config().own_queue_limit) {
+  std::vector<QueuedOp>& queue = pending->payload.queue;
+  if (queue.size() >= host_.config().own_queue_limit) {
     ++stats_.queue_rejected;
     host_.report_drop(telemetry::DropReason::kOwnQueueOverflow, key);
     return;  // dropped; the op's callbacks never fire
   }
-  pit->second.queue.push_back(std::move(op));
+  queue.push_back(std::move(op));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,54 +247,19 @@ void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, Queue
 
 void OwnerEngine::begin_acquire(std::uint32_t space, std::uint64_t slot) {
   ++stats_.acquisitions_started;
-  // Mask the counter to its 40-bit field so a (pathologically) long-lived
-  // switch can never wrap the counter into the switch-id bits and mint
-  // req_ids that collide with another switch's.
-  const std::uint64_t req_id = (static_cast<std::uint64_t>(host_.self()) << 40) |
-                               (++next_req_id_ & ((1ULL << 40) - 1));
-  const telemetry::SpanContext tr = trace_origin("own_acquire", space, slot);
-  PendingAcquire pa;
-  pa.req_id = req_id;
-  pa.trace = tr;
-  pending_acquires_.emplace(KeyRef{space, slot}, std::move(pa));
-  ActiveTraceScope scope(host_, tr);
-  deliver(home_of(space, slot),
-          pkt::OwnRequest{space, slot, host_.self(), req_id, /*revoke=*/false});
-  arm_acquire_retry(space, slot, req_id);
-}
-
-void OwnerEngine::arm_acquire_retry(std::uint32_t space, std::uint64_t slot,
-                                    std::uint64_t req_id) {
-  auto it = pending_acquires_.find(KeyRef{space, slot});
-  if (it == pending_acquires_.end()) return;
-  it->second.retry_timer = host_.sw().control_plane().schedule_after(
-      host_.config().write_retry_timeout, [this, space, slot, req_id]() {
-        auto pit = pending_acquires_.find(KeyRef{space, slot});
-        if (pit == pending_acquires_.end() || pit->second.req_id != req_id) return;
-        if (++pit->second.retries > host_.config().max_write_retries) {
-          ++stats_.acquisitions_failed;
-          host_.report_drop(telemetry::DropReason::kWriteRetriesExhausted, slot);
-          pending_acquires_.erase(pit);  // queued ops dropped, callbacks never fire
-          return;
-        }
-        ++stats_.acquisition_retries;
-        // Retries reuse the SAME req_id (idempotent at home and owner) but
-        // recompute the home, so they survive a failover-driven re-homing.
-        // Re-entering the original acquisition trace (plus the runtime's
-        // req_id-keyed send-span cache) keeps retransmits from double-counting.
-        ActiveTraceScope scope(host_, pit->second.trace);
-        deliver(home_of(space, slot),
-                pkt::OwnRequest{space, slot, host_.self(), req_id, /*revoke=*/false});
-        arm_acquire_retry(space, slot, req_id);
-      });
+  const KeyRef ref{space, slot};
+  const std::uint64_t req_id = pending_acquires_.mint_id();
+  pending_acquires_.open(ref, {req_id, {}}, trace_origin("own_acquire", space, slot), slot);
+  pending_acquires_.transmit(ref);
 }
 
 void OwnerEngine::install_grant(const pkt::OwnGrant& msg) {
   auto sit = spaces_.find(msg.space);
   if (sit == spaces_.end() || !sit->second->addressable(msg.key)) return;
   OwnSpaceState& st = *sit->second;
-  auto pit = pending_acquires_.find(KeyRef{msg.space, msg.key});
-  if (pit == pending_acquires_.end() || pit->second.req_id != msg.req_id) {
+  const KeyRef ref{msg.space, msg.key};
+  const auto* pending = pending_acquires_.find(ref);
+  if (pending == nullptr || pending->payload.req_id != msg.req_id) {
     return;  // stale grant (e.g. for an acquisition that already timed out):
              // installing it could create a second owner, so drop it
   }
@@ -303,9 +269,7 @@ void OwnerEngine::install_grant(const pkt::OwnGrant& msg) {
   host_.sw().simulator().tracer().record(telemetry::kTraceMigration, host_.self(),
                                          "own_acquired", msg.space, msg.key);
   trace_point("own_acquired", msg.space, msg.key);
-  pit->second.retry_timer.cancel();
-  auto queue = std::move(pit->second.queue);
-  pending_acquires_.erase(pit);
+  std::vector<QueuedOp> queue = std::move(pending_acquires_.close(ref)->payload.queue);
   for (auto& op : queue) apply_owned(st, msg.space, msg.key, op);
 }
 

@@ -88,10 +88,7 @@ class OwnerEngine final : public ProtocolEngine {
   /// Requester-side in-flight acquisition.
   struct PendingAcquire {
     std::uint64_t req_id = 0;
-    unsigned retries = 0;
     std::vector<QueuedOp> queue;
-    sim::TimerHandle retry_timer;
-    telemetry::SpanContext trace;  ///< causal chain of this acquisition (if sampled)
   };
 
   /// Home-side in-flight revoke: set when the revoke is forwarded to the
@@ -111,7 +108,6 @@ class OwnerEngine final : public ProtocolEngine {
   void apply_or_acquire(std::uint32_t space, std::uint64_t key, QueuedOp op);
   void apply_owned(OwnSpaceState& st, std::uint32_t space, std::uint64_t key, QueuedOp& op);
   void begin_acquire(std::uint32_t space, std::uint64_t key);
-  void arm_acquire_retry(std::uint32_t space, std::uint64_t key, std::uint64_t req_id);
   void install_grant(const pkt::OwnGrant& msg);
 
   /// Home-side: grant `key` to `requester` from the local backup copy.
@@ -133,10 +129,12 @@ class OwnerEngine final : public ProtocolEngine {
   [[nodiscard]] const std::vector<SwitchId>& members() const noexcept;
 
   std::map<std::uint32_t, std::unique_ptr<OwnSpaceState>> spaces_;
-  std::map<KeyRef, PendingAcquire> pending_acquires_;   // requester side
-  std::map<KeyRef, PendingGrant> pending_grants_;       // home side
-  std::uint64_t next_req_id_ = 0;
+  std::map<KeyRef, PendingGrant> pending_grants_;  // home side
   Stats stats_;
+  /// Requester side, on the retry path. Retries reuse the SAME req_id
+  /// (idempotent at home and owner) but recompute the home, so they survive
+  /// a failover-driven re-homing.
+  RetryTable<KeyRef, PendingAcquire> pending_acquires_;
 };
 
 }  // namespace swish::shm

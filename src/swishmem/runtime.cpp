@@ -100,7 +100,17 @@ std::optional<std::tuple<std::uint8_t, std::uint64_t, std::uint64_t>> send_ident
 }  // namespace
 
 ShmRuntime::ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller)
-    : sw_(sw), config_(config), controller_(controller), rng_(0x5115 ^ (sw.id() * 0x9e3779b9ULL)) {
+    : sw_(sw),
+      config_(config),
+      controller_(controller),
+      // A chunk's resend counts as one more chunk sent. A spent budget
+      // abandons the stream; nothing restarts it, so the target stays out
+      // of the chain until the controller readmits it again.
+      recovery_inflight_(
+          *this, {telemetry::DropReason::kRecoveryAbandoned, &recovery_chunks_sent_, nullptr},
+          [this](std::uint64_t, auto& e) { recovery_bytes_ += send(recovery_->target, e.payload); },
+          [this](std::uint64_t) { end_recovery_stream(); }),
+      rng_(0x5115 ^ (sw.id() * 0x9e3779b9ULL)) {
   telemetry::MetricsRegistry& reg = sw.simulator().metrics();
   const std::string prefix = "shm.sw" + std::to_string(sw.id()) + ".";
   redirects_processed_ = reg.counter(prefix + "redirects_processed");
@@ -220,9 +230,7 @@ void ShmRuntime::retire_recovery_if_joined(const std::vector<SwitchId>& chain) {
   // donor can then retire the stream.
   if (recovery_ &&
       std::find(chain.begin(), chain.end(), recovery_->target) != chain.end()) {
-    recovery_->timer.cancel();
-    recovery_.reset();
-    recovery_tap_ = false;
+    end_recovery_stream();
   }
 }
 
@@ -235,18 +243,8 @@ const pkt::ChainConfig& ShmRuntime::chain_for(std::uint32_t space) const noexcep
   return it == space_chains_.end() ? chain_ : it->second;
 }
 
-bool ShmRuntime::chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept {
-  return std::find(chain.chain.begin(), chain.chain.end(), sw) != chain.chain.end();
-}
-
-bool ShmRuntime::in_chain() const noexcept { return chain_contains(chain_, sw_.id()); }
-
-bool ShmRuntime::is_head() const noexcept {
-  return !chain_.chain.empty() && chain_.chain.front() == sw_.id();
-}
-
-bool ShmRuntime::is_tail() const noexcept {
-  return !chain_.chain.empty() && chain_.chain.back() == sw_.id();
+bool ShmRuntime::in_chain() const noexcept {
+  return std::find(chain_.chain.begin(), chain_.chain.end(), sw_.id()) != chain_.chain.end();
 }
 
 // ---------------------------------------------------------------------------
@@ -472,6 +470,7 @@ void ShmRuntime::on_read_redirect(const pkt::ReadRedirect& msg) {
 
 void ShmRuntime::start_recovery_stream(SwitchId target, std::function<void()> done,
                                        std::optional<std::uint32_t> space_filter) {
+  recovery_inflight_.clear();
   recovery_.emplace();
   recovery_->target = target;
   recovery_->space_filter = space_filter;
@@ -486,53 +485,33 @@ void ShmRuntime::start_recovery_stream(SwitchId target, std::function<void()> do
   for (const auto& e : engines_) {
     recovery_->sources.push_back(e->snapshot_source(space_filter));
   }
-  recovery_tap_ = true;
   // Streaming runs on the control plane (§6.3): chunks are pulled from the
   // frozen sources one at a time and replayed through the normal data-plane
-  // protocol as seq-guarded writes.
-  sw_.control_plane().submit([this]() {
-    if (!recovery_) return;
-    recovery_send_next();
-  });
+  // protocol as seq-guarded writes. A refused start must not strand the
+  // stream (its target would never rejoin): the first chunk then goes out
+  // on the retry path's first timeout.
+  if (!sw_.control_plane().submit([this]() { recovery_send_next(); })) {
+    recovery_send_next(/*send_now=*/false);
+  }
 }
 
 void ShmRuntime::recovery_tap(const std::vector<pkt::WriteOp>& ops,
                               const std::vector<SeqNum>& seqs) {
   // While a recovery stream is active, every commit is also fed to the
   // recovering switch, in order, behind the snapshot (§6.3).
-  if (!recovery_ || !recovery_tap_) return;
+  if (!recovery_) return;
   if (recovery_->space_filter &&
       (ops.empty() || ops.front().space != *recovery_->space_filter)) {
     return;
   }
-  if (recovery_->draining) {
-    // The snapshot is still streaming; this commit post-dates the freeze
-    // point, so it must follow the last snapshot chunk. Buffer it raw —
-    // write_ids are assigned at enqueue time so stream order stays
-    // snapshot < backlog < live taps.
-    recovery_->tap_backlog.push_back({ops, seqs});
-    return;
-  }
-  recovery_enqueue(ops, seqs);
-  recovery_send_next();
+  recovery_->taps.push_back({ops, seqs});
+  // While the snapshot drains, its own acks pull the stream forward.
+  if (recovery_->sources.empty()) recovery_send_next();
 }
 
-void ShmRuntime::recovery_enqueue(std::vector<pkt::WriteOp> ops, std::vector<SeqNum> seqs) {
-  pkt::WriteRequest chunk;
-  chunk.epoch = kRecoveryEpoch;
-  chunk.writer = sw_.id();
-  chunk.snapshot_replay = true;
-  chunk.snapshot_epoch = recovery_->snapshot_epoch;
-  chunk.write_id = recovery_->next_stream_seq++;
-  chunk.ops = std::move(ops);
-  chunk.seqs = std::move(seqs);
-  recovery_->queue.push_back(std::move(chunk));
-}
-
-bool ShmRuntime::recovery_refill() {
+std::optional<pkt::WriteRequest> ShmRuntime::recovery_next_chunk() {
   RecoveryStream& rs = *recovery_;
-  if (!rs.queue.empty()) return true;
-  if (!rs.draining) return false;
+  pkt::WriteRequest chunk;
   // Pull one chunk's worth of ops from the frozen sources. A source that
   // reports exhaustion is destroyed immediately, releasing its CoW pin (and
   // the nodes it kept alive) as early as possible.
@@ -542,32 +521,31 @@ bool ShmRuntime::recovery_refill() {
       rs.sources.erase(rs.sources.begin());
     }
   }
-  if (!snap.empty()) {
-    std::vector<pkt::WriteOp> ops;
-    std::vector<SeqNum> seqs;
-    ops.reserve(snap.size());
-    seqs.reserve(snap.size());
-    for (const auto& entry : snap) {
-      ops.push_back(entry.op);
-      seqs.push_back(entry.seq);
-    }
-    recovery_enqueue(std::move(ops), std::move(seqs));
+  chunk.ops.reserve(snap.size());
+  chunk.seqs.reserve(snap.size());
+  for (const auto& entry : snap) {
+    chunk.ops.push_back(entry.op);
+    chunk.seqs.push_back(entry.seq);
   }
-  if (rs.sources.empty()) {
-    rs.draining = false;
-    // Commits tapped during the drain go behind the snapshot, in tap order.
-    while (!rs.tap_backlog.empty()) {
-      recovery_enqueue(std::move(rs.tap_backlog.front().ops),
-                       std::move(rs.tap_backlog.front().seqs));
-      rs.tap_backlog.pop_front();
-    }
+  if (chunk.ops.empty()) {
+    // Snapshot drained: the commits tapped since the freeze follow in order.
+    if (rs.taps.empty()) return std::nullopt;
+    chunk.ops = std::move(rs.taps.front().ops);
+    chunk.seqs = std::move(rs.taps.front().seqs);
+    rs.taps.pop_front();
   }
-  return !rs.queue.empty();
+  chunk.epoch = kRecoveryEpoch;
+  chunk.writer = sw_.id();
+  chunk.snapshot_replay = true;
+  chunk.snapshot_epoch = rs.snapshot_epoch;
+  chunk.write_id = rs.next_stream_seq++;
+  return chunk;
 }
 
-void ShmRuntime::recovery_send_next() {
-  if (!recovery_ || recovery_->awaiting_ack != 0) return;
-  if (!recovery_refill()) {
+void ShmRuntime::recovery_send_next(bool send_now) {
+  if (!recovery_ || recovery_inflight_.size() != 0) return;
+  std::optional<pkt::WriteRequest> chunk = recovery_next_chunk();
+  if (!chunk) {
     // Snapshot fully streamed and every chunk acknowledged: recovery is
     // complete. The stream stays alive to tap subsequent commits until the
     // controller retires it at the epoch switch.
@@ -578,52 +556,36 @@ void ShmRuntime::recovery_send_next() {
     }
     return;
   }
-  const pkt::WriteRequest& chunk = recovery_->queue.front();
-  recovery_->awaiting_ack = chunk.write_id;
-  recovery_->retries = 0;
-  ++recovery_chunks_sent_;
+  const std::uint64_t seq = chunk->write_id;
   // Recovery chunks root their own causal chains (there is no originating
   // write); retransmissions reuse the first transmission's span through the
   // send-identity cache like any other idempotent frame.
-  telemetry::SpanContext root;
+  telemetry::SpanContext trace = active_trace_;
   telemetry::SpanRecorder& spans = sw_.spans();
-  if (spans.enabled() && !active_trace_.sampled()) {
-    root = spans.maybe_start_trace();
+  if (send_now && spans.enabled() && !trace.sampled()) {
+    const telemetry::SpanContext root = spans.maybe_start_trace();
     if (root.sampled()) {
       const TimeNs t = spans.now();
-      spans.record({root.trace_id, root.span_id, 0, sw_.id(), "recovery_chunk", t, t, 0, 0,
-                    chunk.write_id});
+      spans.record({root.trace_id, root.span_id, 0, sw_.id(), "recovery_chunk", t, t, 0, 0, seq});
+      trace = root;
     }
   }
-  ActiveTraceScope scope(*this, root.sampled() ? root : active_trace_);
-  recovery_bytes_ += send(recovery_->target, chunk);
-  arm_recovery_timer(chunk.write_id);
+  recovery_inflight_.open(seq, std::move(*chunk), trace, recovery_->target);
+  if (!send_now) {
+    recovery_inflight_.arm(seq);
+    return;
+  }
+  ++recovery_chunks_sent_;
+  recovery_inflight_.transmit(seq);
 }
 
-void ShmRuntime::arm_recovery_timer(std::uint64_t expect) {
-  recovery_->timer =
-      sw_.control_plane().schedule_after(config_.write_retry_timeout, [this, expect]() {
-        if (!recovery_ || recovery_->awaiting_ack != expect) return;
-        if (++recovery_->retries > config_.max_write_retries) {
-          // Target unreachable: abandon the stream; the controller restarts
-          // recovery if the target is still alive.
-          sw_.report_drop(telemetry::DropReason::kRecoveryAbandoned, nullptr,
-                          recovery_->target);
-          recovery_.reset();
-          recovery_tap_ = false;
-          return;
-        }
-        ++recovery_chunks_sent_;
-        recovery_bytes_ += send(recovery_->target, recovery_->queue.front());
-        arm_recovery_timer(expect);
-      });
+void ShmRuntime::end_recovery_stream() {
+  recovery_inflight_.clear();
+  recovery_.reset();
 }
 
 void ShmRuntime::on_recovery_ack(std::uint64_t stream_seq) {
-  if (!recovery_ || recovery_->awaiting_ack != stream_seq) return;
-  recovery_->timer.cancel();
-  recovery_->awaiting_ack = 0;
-  recovery_->queue.pop_front();
+  if (!recovery_inflight_.close(stream_seq)) return;  // stale or duplicate ack
   // Refills lazily from the snapshot sources; fires `done` once everything
   // is drained and acknowledged.
   recovery_send_next();
@@ -663,8 +625,7 @@ void ShmRuntime::reset_state() {
   if (swim_) swim_->reset();
   last_recovery_applied_ = 0;
   last_recovery_epoch_ = 0;
-  recovery_.reset();
-  recovery_tap_ = false;
+  end_recovery_stream();
   // A replacement switch also forgets its configuration; the controller's
   // next push (any epoch) is accepted.
   chain_ = {};

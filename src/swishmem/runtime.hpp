@@ -243,8 +243,6 @@ class ShmRuntime {
   [[nodiscard]] pisa::Switch& owner() noexcept { return sw_; }
 
   [[nodiscard]] bool in_chain() const noexcept;
-  [[nodiscard]] bool is_head() const noexcept;
-  [[nodiscard]] bool is_tail() const noexcept;
 
   /// Number of output packets currently buffered in CP DRAM awaiting acks.
   [[nodiscard]] std::size_t cp_buffered_packets() const noexcept;
@@ -259,10 +257,6 @@ class ShmRuntime {
 
   /// Engine serving a space (nullptr when the space is unknown here).
   [[nodiscard]] ProtocolEngine* engine_for_space(std::uint32_t space) const noexcept;
-  /// All engines instantiated on this switch, in creation order.
-  [[nodiscard]] const std::vector<std::unique_ptr<ProtocolEngine>>& engines() const noexcept {
-    return engines_;
-  }
 
  private:
   /// Engine implementing `cls`, created (and registered in the message-type
@@ -281,28 +275,27 @@ class ShmRuntime {
     /// pin a CoW snapshot, dense ones collect eagerly). Drained lazily, one
     /// chunk per ack, so a million-key snapshot is never materialized whole.
     std::vector<std::unique_ptr<SnapshotSource>> sources;
-    bool draining = true;  ///< snapshot portion not yet exhausted
-    /// Writes committed (and tapped) while the snapshot is still draining.
-    /// They post-date the freeze point, so they are flushed behind the last
-    /// snapshot chunk — stream order is always snapshot, then live.
+    /// Writes committed (tapped) since the freeze point, not yet streamed.
+    /// They go behind the last snapshot chunk, one chunk each: stream order
+    /// is always snapshot, then live.
     struct Tapped {
       std::vector<pkt::WriteOp> ops;
       std::vector<SeqNum> seqs;
     };
-    std::deque<Tapped> tap_backlog;
-    std::deque<pkt::WriteRequest> queue;  ///< chunks awaiting transmission
+    std::deque<Tapped> taps;
     std::uint64_t next_stream_seq = 1;
-    std::uint64_t awaiting_ack = 0;  ///< 0 = idle
-    unsigned retries = 0;
     std::function<void()> done;
-    sim::TimerHandle timer;
   };
-  void recovery_enqueue(std::vector<pkt::WriteOp> ops, std::vector<SeqNum> seqs);
-  /// Tops the send queue up from the snapshot sources (then the tap backlog
-  /// once they drain); returns true when a chunk is ready to transmit.
-  bool recovery_refill();
-  void recovery_send_next();
-  void arm_recovery_timer(std::uint64_t expect);
+  /// The stream's next chunk — snapshot ops while any remain, then one
+  /// tapped commit — or nullopt when both are exhausted.
+  std::optional<pkt::WriteRequest> recovery_next_chunk();
+  /// Moves the next chunk onto the retry path and sends it — or, with
+  /// `send_now` false (the control plane refused the stream's start), leaves
+  /// its first send to the retry timeout. No-op while a chunk is in flight;
+  /// fires `done` once everything is streamed and acknowledged.
+  void recovery_send_next(bool send_now = true);
+  /// Drops the donor stream and its in-flight chunk.
+  void end_recovery_stream();
   void on_recovery_ack(std::uint64_t stream_seq);
   void on_recovery_chunk(const pkt::WriteRequest& msg);
   void retire_recovery_if_joined(const std::vector<SwitchId>& chain);
@@ -317,8 +310,6 @@ class ShmRuntime {
   /// double-count propagation; first transmissions of a sampled chain record
   /// a send span and return its context.
   telemetry::SpanContext outgoing_trace(SwitchId dst, const pkt::SwishMessage& msg);
-
-  [[nodiscard]] static bool chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept;
 
   pisa::Switch& sw_;
   RuntimeConfig config_;
@@ -342,7 +333,6 @@ class ShmRuntime {
 
   // Donor-side recovery stream and target-side cursor.
   std::optional<RecoveryStream> recovery_;
-  bool recovery_tap_ = false;  ///< tail forwards committed writes into the stream
   std::uint32_t recovery_epoch_counter_ = 0;  ///< donor-local stream counter
   std::uint64_t last_recovery_applied_ = 0;
   /// Stream epoch the cursor above belongs to; a chunk from a different
@@ -359,6 +349,9 @@ class ShmRuntime {
   telemetry::Counter control_bytes_;   ///< heartbeats
   telemetry::Counter int_bytes_;       ///< INT trailer bytes on sampled sends
   telemetry::Counter total_bytes_;     ///< all protocol sends from this switch
+  /// The recovery stream's in-flight chunk by stream seq (stop-and-wait: at
+  /// most one), on the retry path.
+  RetryTable<std::uint64_t, pkt::WriteRequest> recovery_inflight_;
   std::uint64_t int_countdown_ = 0;    ///< 1-in-N INT sampling of protocol sends
 
   bool authoritative_ = false;  ///< serving a redirected read at the tail

@@ -342,7 +342,7 @@ TEST(Consensus, DeposedCoordinatorWriteRetriesInsteadOfStranding) {
   // than strand it.
   eng->handle_message(pkt::ConPrepare{0, (5000ULL << 32) | 3, 2});
   ASSERT_FALSE(eng->is_coordinator());
-  rig.fabric.run_for(300 * kMs);  // > con_max_retries * con_retry_timeout
+  rig.fabric.run_for(300 * kMs);  // > max_write_retries * write_retry_timeout
   EXPECT_EQ(eng->con_stats().writes_failed.value(), 1u)
       << "deposed coordinator's write neither re-routed nor failed: stranded";
   EXPECT_EQ(rig.delivered, 0u);

@@ -168,6 +168,54 @@ TEST(ControlPlane, GateSuppressesJobs) {
   EXPECT_EQ(ran, 0);  // first job also gated: liveness checked at run time
 }
 
+TEST(ControlPlane, TimerFiringIntoAFullQueueIsDeferredNotLost) {
+  sim::Simulator sim;
+  ControlPlane cp(sim, {.ops_per_sec = 1000, .max_queue = 1});  // 1 ms per op
+  ASSERT_TRUE(cp.submit([] {}));  // the one slot is busy until 1 ms
+  std::vector<TimeNs> fired;
+  cp.schedule_after(0, [&] { fired.push_back(sim.now()); });
+  // Posted first, so it runs first at 5 ms: the tick then finds the slot busy.
+  sim.post_at(5 * kMs, [&] { cp.submit([] {}); });
+  int ticks = 0;
+  sim::TimerHandle periodic = cp.schedule_periodic(5 * kMs, [&] { ++ticks; });
+  sim.run_until(8 * kMs);
+  periodic.cancel();
+  sim.run();
+  // Refused at 0, retried when the slot frees at 1 ms, run one service later.
+  EXPECT_EQ(fired, (std::vector<TimeNs>{2 * kMs}));
+  EXPECT_EQ(ticks, 1);
+  EXPECT_EQ(cp.stats().dropped, 0u);  // a deferred firing is not a dropped job
+}
+
+TEST(ControlPlane, CancelStopsDeferredAndQueuedFirings) {
+  sim::Simulator sim;
+  ControlPlane cp(sim, {.ops_per_sec = 1000, .max_queue = 1});
+  int ran = 0;
+  // Fires at 0 into an idle CPU; its job is queued until 1 ms.
+  sim::TimerHandle queued = cp.schedule_after(0, [&] { ++ran; });
+  // Fires at 0 into the now-full queue and is deferred.
+  sim::TimerHandle deferred = cp.schedule_after(0, [&] { ++ran; });
+  sim.post_at(500 * kUs, [&] {
+    queued.cancel();
+    deferred.cancel();
+  });
+  sim.run();
+  EXPECT_EQ(ran, 0);
+}
+
+TEST(ControlPlane, GateSwallowsADeferredFiring) {
+  sim::Simulator sim;
+  ControlPlane cp(sim, {.ops_per_sec = 1000, .max_queue = 1});
+  bool alive = true;
+  cp.set_gate([&] { return alive; });
+  ASSERT_TRUE(cp.submit([] {}));
+  int ran = 0;
+  cp.schedule_after(0, [&] { ++ran; });  // deferred: the queue is full
+  sim.post_at(500 * kUs, [&] { alive = false; });
+  sim.run();
+  EXPECT_EQ(ran, 0);
+}
+
 struct SwitchRig {
   sim::Simulator sim;
   net::Network net{sim, 5};

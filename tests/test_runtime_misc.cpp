@@ -1,8 +1,10 @@
-// Runtime edge cases: retry exhaustion, CP buffer limits, stale config
-// pushes, unknown spaces, and stats accounting.
+// Runtime edge cases: the retry path (exhaustion for every user, refused
+// control-plane work), CP buffer limits, stale config pushes, unknown
+// spaces, and stats accounting.
 #include <gtest/gtest.h>
 
 #include "swishmem/fabric.hpp"
+#include "swishmem/protocols/owner_engine.hpp"
 
 namespace swish::shm {
 namespace {
@@ -29,26 +31,201 @@ Fabric* make(std::unique_ptr<Fabric>& holder, FabricConfig cfg) {
   return holder.get();
 }
 
-TEST(RuntimeMisc, WriteFailsAfterMaxRetriesWhenHeadUnreachable) {
+std::uint64_t drops_at(Fabric& fabric, std::size_t i, telemetry::DropReason reason) {
+  const auto counts = fabric.all_drop_counts();
+  const auto it = counts.find(fabric.runtime(i).self());
+  return it == counts.end() ? 0 : it->second[static_cast<std::size_t>(reason)];
+}
+
+// -- The one retry path (RetryTable, protocols/engine.hpp) -------------------
+
+/// What a retry-path user did once its peer became unreachable.
+struct RetryOutcome {
+  std::uint64_t retransmissions = 0;
+  std::uint64_t typed_drops = 0;  ///< drops of the user's DropReason at the requester
+  bool reclaimed = false;         ///< the request's entry (and timer) is gone
+};
+
+struct RetryUser {
+  const char* name;
+  RetryOutcome (*run)(const FabricConfig& cfg);
+};
+
+void PrintTo(const RetryUser& user, std::ostream* os) { *os << user.name; }
+
+/// Three switches whose failure detector never fires (a dead peer stays in
+/// every chain and group), a 1 ms retry timeout and a budget of 3.
+FabricConfig retry_cfg() {
   FabricConfig cfg;
   cfg.num_switches = 3;
   cfg.runtime.write_retry_timeout = 1 * kMs;
   cfg.runtime.max_write_retries = 3;
-  // Disable failure detection so the chain is never repaired.
   cfg.controller.heartbeat_timeout = 1000 * kSec;
-  std::unique_ptr<Fabric> holder;
-  Fabric& fabric = *make(holder, cfg);
-  fabric.run_for(10 * kMs);
-  fabric.kill_switch(0);  // the head, permanently
+  return cfg;
+}
 
+std::unique_ptr<Fabric> make_space(const FabricConfig& cfg, ConsistencyClass cls,
+                                   std::size_t size = 16) {
+  auto fabric = std::make_unique<Fabric>(cfg);
+  SpaceConfig sp;
+  sp.id = kSpace;
+  sp.name = "r";
+  sp.cls = cls;
+  sp.size = size;
+  fabric->add_space(sp);
+  fabric->install(nullptr);
+  fabric->start();
+  fabric->run_for(10 * kMs);
+  return fabric;
+}
+
+RetryOutcome sro_write_head_dead(const FabricConfig& cfg) {
+  auto fabric = make_space(cfg, ConsistencyClass::kSRO);
+  fabric->kill_switch(0);  // the chain head, for good
   bool released = false;
-  fabric.runtime(2).write({{kSpace, 1, 9}}, pkt::Packet{},
-                          [&](pkt::Packet&&) { released = true; });
-  fabric.run_for(500 * kMs);
-  EXPECT_FALSE(released);
-  EXPECT_EQ(fabric.runtime(2).stats().writes_failed, 1u);
-  EXPECT_EQ(fabric.runtime(2).stats().write_retries, 3u);
-  EXPECT_EQ(fabric.runtime(2).cp_buffered_packets(), 0u);  // buffer reclaimed
+  fabric->runtime(2).write({{kSpace, 1, 9}}, pkt::Packet{},
+                           [&](pkt::Packet&&) { released = true; });
+  fabric->run_for(500 * kMs);
+  const auto st = fabric->runtime(2).stats();
+  return {st.write_retries,
+          drops_at(*fabric, 2, telemetry::DropReason::kWriteRetriesExhausted),
+          !released && st.writes_failed == 1 && fabric->runtime(2).cp_buffered_packets() == 0};
+}
+
+RetryOutcome con_write_no_quorum(const FabricConfig& cfg) {
+  auto fabric = make_space(cfg, ConsistencyClass::kCON);
+  fabric->kill_switch(1);
+  fabric->kill_switch(2);  // the coordinator (switch 0) is alone of three
+  bool released = false;
+  fabric->runtime(0).write({{kSpace, 1, 9}}, pkt::Packet{},
+                           [&](pkt::Packet&&) { released = true; });
+  fabric->run_for(500 * kMs);
+  const auto st = fabric->runtime(0).stats();
+  return {st.write_retries, drops_at(*fabric, 0, telemetry::DropReason::kQuorumUnreachable),
+          !released && st.writes_failed == 1 && fabric->runtime(0).cp_buffered_packets() == 0};
+}
+
+RetryOutcome own_acquire_home_dead(const FabricConfig& cfg) {
+  auto fabric = make_space(cfg, ConsistencyClass::kOWN);
+  const auto& own = dynamic_cast<const OwnerEngine&>(*fabric->runtime(2).engine_for_space(kSpace));
+  std::uint64_t key = 0;
+  while (own.home_of(kSpace, key) != fabric->runtime(0).self()) ++key;
+  fabric->kill_switch(0);  // the key's home, for good
+  fabric->runtime(2).write({{kSpace, key, 9}}, pkt::Packet{}, nullptr);
+  fabric->run_for(500 * kMs);
+  const OwnerEngine::Stats& st = own.own_stats();
+  const RetryOutcome out{st.acquisition_retries,
+                         drops_at(*fabric, 2, telemetry::DropReason::kWriteRetriesExhausted),
+                         st.acquisitions_failed == 1};
+  // Reclaimed: the next write to the key starts a fresh acquisition instead
+  // of queueing behind the spent one.
+  fabric->runtime(2).write({{kSpace, key, 10}}, pkt::Packet{}, nullptr);
+  return {out.retransmissions, out.typed_drops,
+          out.reclaimed && st.acquisitions_started.value() == 2};
+}
+
+RetryOutcome recovery_target_dies(const FabricConfig& base) {
+  FabricConfig cfg = base;
+  cfg.link.propagation_delay = 300 * kUs;  // a chunk round trip well inside the timeout
+  auto fabric = make_space(cfg, ConsistencyClass::kSRO, 256);
+  for (std::uint64_t k = 0; k < 100; ++k) {  // 100 non-zero registers: 4 chunks
+    fabric->runtime(1).write({{kSpace, k, k + 1}}, pkt::Packet{}, nullptr);
+  }
+  fabric->run_for(100 * kMs);
+  bool done = false;
+  fabric->runtime(2).start_recovery_stream(fabric->runtime(0).self(), [&] { done = true; });
+  fabric->run_for(800 * kUs);  // chunk 1 acknowledged, chunk 2 in flight
+  fabric->kill_switch(0);
+  fabric->run_for(100 * kMs);
+  const auto donor = fabric->runtime(2).stats();
+  const auto target = fabric->runtime(0).stats();
+  // Every chunk sent beyond the ones the target applied and the lost one.
+  const std::uint64_t retransmissions =
+      donor.recovery_chunks_sent - target.recovery_chunks_applied - 1;
+  fabric->run_for(100 * kMs);
+  return {retransmissions, drops_at(*fabric, 2, telemetry::DropReason::kRecoveryAbandoned),
+          !done && target.recovery_chunks_applied == 1 &&
+              fabric->runtime(2).stats().recovery_chunks_sent == donor.recovery_chunks_sent};
+}
+
+class RetryExhaustion : public ::testing::TestWithParam<RetryUser> {};
+
+TEST_P(RetryExhaustion, ResendsTheBudgetThenDropsTypedAndReclaims) {
+  const FabricConfig cfg = retry_cfg();
+  const RetryOutcome out = GetParam().run(cfg);
+  EXPECT_EQ(out.retransmissions, cfg.runtime.max_write_retries);
+  EXPECT_EQ(out.typed_drops, 1u);
+  EXPECT_TRUE(out.reclaimed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RetryPathUsers, RetryExhaustion,
+    ::testing::Values(RetryUser{"SroWriteHeadDead", sro_write_head_dead},
+                      RetryUser{"ConWriteNoQuorum", con_write_no_quorum},
+                      RetryUser{"OwnAcquireHomeDead", own_acquire_home_dead},
+                      RetryUser{"RecoveryTargetDiesMidStream", recovery_target_dies}),
+    [](const ::testing::TestParamInfo<RetryUser>& info) { return info.param.name; });
+
+/// Fills switch `i`'s control-plane queue to the brim (~41 ms of work on
+/// the default CPU).
+void fill_control_plane(Fabric& fabric, std::size_t i) {
+  pisa::ControlPlane& cp = fabric.sw(i).control_plane();
+  while (cp.submit([] {})) {
+  }
+}
+
+class RefusedRelease : public ::testing::TestWithParam<ConsistencyClass> {};
+
+TEST_P(RefusedRelease, IsReportedAsCpBufferFull) {
+  // The commit path releases the buffered output through the writer's CP; a
+  // release the CPU refuses must leave a typed drop, not vanish. A probe run
+  // of the (deterministic) scenario finds the instant the commit reaches the
+  // writer; the second run fills the writer's CP at that instant, just ahead
+  // of the commit.
+  const FabricConfig cfg = retry_cfg();
+  const auto service = static_cast<TimeNs>(
+      static_cast<double>(kSec) / cfg.switch_config.control_plane.ops_per_sec);
+  TimeNs released_at = -1;
+  const auto run = [&](TimeNs fill_at) {
+    auto fabric = make_space(cfg, GetParam());
+    Fabric& f = *fabric;
+    released_at = -1;
+    if (fill_at >= 0) f.simulator().post_at(fill_at, [&f] { fill_control_plane(f, 2); });
+    f.runtime(2).write({{kSpace, 1, 9}}, pkt::Packet{},
+                       [&](pkt::Packet&&) { released_at = f.simulator().now(); });
+    f.run_for(500 * kMs);
+    return fabric;
+  };
+  run(-1);  // probe: an idle CP runs the release one service time after the commit
+  ASSERT_GT(released_at, 0);
+  const auto fabric = run(released_at - service);
+  EXPECT_EQ(released_at, -1);
+  EXPECT_EQ(fabric->runtime(2).stats().writes_committed, 1u);
+  EXPECT_EQ(drops_at(*fabric, 2, telemetry::DropReason::kCpBufferFull), 1u);
+  EXPECT_EQ(fabric->runtime(2).cp_buffered_packets(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ChainAndCon, RefusedRelease,
+                         ::testing::Values(ConsistencyClass::kSRO, ConsistencyClass::kCON),
+                         [](const ::testing::TestParamInfo<ConsistencyClass>& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+TEST(RuntimeMisc, RefusedRecoveryStartStillStreams) {
+  // The donor's CP refuses the job that starts the stream; the first chunk
+  // must still go out (on the retry path) and the stream complete.
+  auto fabric = make_space(retry_cfg(), ConsistencyClass::kSRO, 256);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    fabric->runtime(1).write({{kSpace, k, k + 1}}, pkt::Packet{}, nullptr);
+  }
+  fabric->run_for(100 * kMs);
+  fill_control_plane(*fabric, 2);
+  bool done = false;
+  fabric->runtime(2).start_recovery_stream(fabric->runtime(0).self(), [&] { done = true; });
+  fabric->run_for(500 * kMs);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(fabric->runtime(0).stats().recovery_chunks_applied, 4u);
+  EXPECT_EQ(drops_at(*fabric, 2, telemetry::DropReason::kRecoveryAbandoned), 0u);
 }
 
 TEST(RuntimeMisc, CpBufferLimitRejectsExcessWrites) {

@@ -285,6 +285,34 @@ TEST(Sro, RefusedTableBackedHopIsReportedAsCpBufferFull) {
   EXPECT_GT(refused, 0u) << "scenario never overloaded a chain hop's control plane";
 }
 
+TEST(Sro, OverloadedControlPlaneLeavesNoWritePending) {
+  // The writer's retry timers ride its one-slot CP; a firing that meets a
+  // full queue must be deferred, not lost, so every write ends committed,
+  // failed or rejected and the CP buffer drains.
+  FabricConfig cfg = cfg4();
+  cfg.switch_config.control_plane.ops_per_sec = 1000;
+  cfg.switch_config.control_plane.max_queue = 1;
+  Fabric fabric(cfg);
+  SpaceConfig sp;
+  sp.id = kSpace;
+  sp.name = "tbl";
+  sp.cls = ConsistencyClass::kSRO;
+  sp.size = 256;
+  sp.table_backed = true;
+  fabric.add_space(sp);
+  fabric.install(nullptr);
+  fabric.start();
+  constexpr std::uint64_t kWrites = 40;
+  for (std::uint64_t k = 0; k < kWrites; ++k) {
+    fabric.runtime(1).write({{kSpace, k, k + 10}}, udp(1, 1), nullptr);
+    fabric.run_for(1500 * kUs);  // spaced so the writer's retry timers meet a busy CP
+  }
+  fabric.run_for(5 * kSec);
+  const auto st = fabric.runtime(1).stats();
+  EXPECT_EQ(st.writes_committed + st.writes_failed + st.writes_rejected, kWrites);
+  EXPECT_EQ(fabric.runtime(1).cp_buffered_packets(), 0u);
+}
+
 TEST(Sro, WriterOnHeadCommits) {
   Rig rig(cfg4());
   rig.fabric.sw(0).inject(udp(9, 1000));  // switch 0 is the head
