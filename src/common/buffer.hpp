@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,16 @@ class BufferError : public std::runtime_error {
   explicit BufferError(const std::string& what) : std::runtime_error(what) {}
 };
 
+namespace detail {
+
+/// Stores `v` big-endian in the N bytes at `p`.
+template <std::size_t N, class T>
+inline void store_be(std::uint8_t* p, T v) noexcept {
+  for (std::size_t i = 0; i < N; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
+}
+
+}  // namespace detail
+
 /// Appends big-endian integers and raw bytes to a growable byte vector.
 class ByteWriter {
  public:
@@ -30,26 +41,10 @@ class ByteWriter {
   void u8(std::uint8_t v) { bytes_.push_back(v); }
 
   // Multi-byte writes grow the vector once and store bytes directly, rather
-  // than paying a capacity check per byte — the wire codec serializes sync
-  // batches of hundreds of fields and is hot in protocol-heavy runs.
-  void u16(std::uint16_t v) {
-    std::uint8_t* p = grow(2);
-    p[0] = static_cast<std::uint8_t>(v >> 8);
-    p[1] = static_cast<std::uint8_t>(v);
-  }
-
-  void u32(std::uint32_t v) {
-    std::uint8_t* p = grow(4);
-    p[0] = static_cast<std::uint8_t>(v >> 24);
-    p[1] = static_cast<std::uint8_t>(v >> 16);
-    p[2] = static_cast<std::uint8_t>(v >> 8);
-    p[3] = static_cast<std::uint8_t>(v);
-  }
-
-  void u64(std::uint64_t v) {
-    std::uint8_t* p = grow(8);
-    for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-  }
+  // than paying a capacity check per byte.
+  void u16(std::uint16_t v) { detail::store_be<2>(grow(2), v); }
+  void u32(std::uint32_t v) { detail::store_be<4>(grow(4), v); }
+  void u64(std::uint64_t v) { detail::store_be<8>(grow(8), v); }
 
   void raw(std::span<const std::uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
@@ -58,8 +53,7 @@ class ByteWriter {
   /// Overwrites a previously written 16-bit field (e.g. a checksum slot).
   void patch_u16(std::size_t offset, std::uint16_t v) {
     if (offset + 2 > bytes_.size()) throw BufferError("patch_u16 out of range");
-    bytes_[offset] = static_cast<std::uint8_t>(v >> 8);
-    bytes_[offset + 1] = static_cast<std::uint8_t>(v);
+    detail::store_be<2>(bytes_.data() + offset, v);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
@@ -75,6 +69,42 @@ class ByteWriter {
   }
 
   std::vector<std::uint8_t> bytes_;
+};
+
+/// Writes big-endian integers and raw bytes into caller-owned storage of a
+/// size fixed in advance (a packet buffer sized exactly before it is
+/// written). It writes like ByteWriter but never allocates: a write past
+/// the end throws BufferError instead of growing.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::uint8_t> out) noexcept : out_(out) {}
+
+  void u8(std::uint8_t v) { *grow(1) = v; }
+  void u16(std::uint16_t v) { detail::store_be<2>(grow(2), v); }
+  void u32(std::uint32_t v) { detail::store_be<4>(grow(4), v); }
+  void u64(std::uint64_t v) { detail::store_be<8>(grow(8), v); }
+
+  void raw(std::span<const std::uint8_t> data) {
+    if (!data.empty()) std::memcpy(grow(data.size()), data.data(), data.size());
+  }
+
+  /// Overwrites a previously written 16-bit field (e.g. a checksum slot).
+  void patch_u16(std::size_t offset, std::uint16_t v) {
+    if (offset + 2 > pos_) throw BufferError("patch_u16 out of range");
+    detail::store_be<2>(out_.data() + offset, v);
+  }
+
+ private:
+  /// Claims the next `n` bytes of the storage.
+  std::uint8_t* grow(std::size_t n) {
+    if (n > out_.size() - pos_) throw BufferError("SpanWriter overflow");
+    std::uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  std::span<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
 /// Consumes big-endian integers and raw bytes from a non-owning byte view.

@@ -1,8 +1,11 @@
 #include "packet/headers.hpp"
 
+#include <array>
+
 namespace swish::pkt {
 
-void EthernetHeader::encode(ByteWriter& w) const {
+template <class Writer>
+void EthernetHeader::encode(Writer& w) const {
   w.raw(dst.octets());
   w.raw(src.octets());
   w.u16(ether_type);
@@ -21,8 +24,12 @@ EthernetHeader EthernetHeader::decode(ByteReader& r) {
   return h;
 }
 
-void Ipv4Header::encode(ByteWriter& w) const {
-  const std::size_t start = w.size();
+template <class Writer>
+void Ipv4Header::encode(Writer& out) const {
+  // Assembled on the stack so the checksum covers finished bytes whatever
+  // the destination writer is.
+  std::array<std::uint8_t, kIpv4HeaderLen> hdr;
+  SpanWriter w(hdr);
   w.u8(0x45);  // version 4, IHL 5
   w.u8(dscp << 2);
   w.u16(total_length);
@@ -33,9 +40,8 @@ void Ipv4Header::encode(ByteWriter& w) const {
   w.u16(0);  // checksum placeholder
   w.u32(src.value());
   w.u32(dst.value());
-  const auto sum = internet_checksum(
-      std::span<const std::uint8_t>(w.bytes().data() + start, kIpv4HeaderLen));
-  w.patch_u16(start + 10, sum);
+  w.patch_u16(10, internet_checksum(hdr));
+  out.raw(hdr);
 }
 
 std::optional<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
@@ -57,7 +63,8 @@ std::optional<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
   return h;
 }
 
-void TcpHeader::encode(ByteWriter& w) const {
+template <class Writer>
+void TcpHeader::encode(Writer& w) const {
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(seq);
@@ -82,7 +89,8 @@ TcpHeader TcpHeader::decode(ByteReader& r) {
   return h;
 }
 
-void UdpHeader::encode(ByteWriter& w) const {
+template <class Writer>
+void UdpHeader::encode(Writer& w) const {
   w.u16(src_port);
   w.u16(dst_port);
   w.u16(length);
@@ -108,5 +116,14 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) noexcept {
   while (sum >> 16) sum = (sum & 0xffff) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum);
 }
+
+template void EthernetHeader::encode(ByteWriter&) const;
+template void EthernetHeader::encode(SpanWriter&) const;
+template void Ipv4Header::encode(ByteWriter&) const;
+template void Ipv4Header::encode(SpanWriter&) const;
+template void TcpHeader::encode(ByteWriter&) const;
+template void TcpHeader::encode(SpanWriter&) const;
+template void UdpHeader::encode(ByteWriter&) const;
+template void UdpHeader::encode(SpanWriter&) const;
 
 }  // namespace swish::pkt

@@ -3,7 +3,9 @@
 // These are real wire formats: 14-byte Ethernet, 20-byte IPv4 (no options),
 // 20-byte TCP, 8-byte UDP, with the standard internet checksum. The PISA
 // parser (src/pisa/parser) consumes these; the workload generator and the
-// SwiShmem protocol build on them.
+// SwiShmem protocol build on them. Each encode() writes through either a
+// growable ByteWriter or a fixed-size SpanWriter (packets are built straight
+// into their exactly-sized buffer).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,8 @@ struct EthernetHeader {
   MacAddr src;
   std::uint16_t ether_type = kEtherTypeIpv4;
 
-  void encode(ByteWriter& w) const;
+  template <class Writer>
+  void encode(Writer& w) const;
   static EthernetHeader decode(ByteReader& r);
 };
 
@@ -44,7 +47,8 @@ struct Ipv4Header {
   Ipv4Addr dst;
 
   /// Encodes with a freshly computed header checksum.
-  void encode(ByteWriter& w) const;
+  template <class Writer>
+  void encode(Writer& w) const;
 
   /// Decodes and verifies the checksum; returns nullopt on corruption.
   static std::optional<Ipv4Header> decode(ByteReader& r);
@@ -66,7 +70,8 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
 
-  void encode(ByteWriter& w) const;
+  template <class Writer>
+  void encode(Writer& w) const;
   static TcpHeader decode(ByteReader& r);
 };
 
@@ -75,7 +80,8 @@ struct UdpHeader {
   std::uint16_t dst_port = 0;
   std::uint16_t length = 0;  // header + payload, filled by the builder
 
-  void encode(ByteWriter& w) const;
+  template <class Writer>
+  void encode(Writer& w) const;
   static UdpHeader decode(ByteReader& r);
 };
 

@@ -1,5 +1,7 @@
 #include "packet/int_md.hpp"
 
+#include <cstring>
+
 #include "packet/headers.hpp"
 
 namespace swish::pkt {
@@ -19,18 +21,6 @@ std::uint64_t read_u64(const std::uint8_t* p) noexcept {
   return (static_cast<std::uint64_t>(read_u32(p)) << 32) | read_u32(p + 4);
 }
 
-void write_u32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-void write_u64(std::uint8_t* p, std::uint64_t v) noexcept {
-  write_u32(p, static_cast<std::uint32_t>(v >> 32));
-  write_u32(p + 4, static_cast<std::uint32_t>(v));
-}
-
 /// Validated trailer geometry; count/cap/flags plus where the hop records
 /// start. Returns false when the tail is not a consistent INT trailer.
 struct Geometry {
@@ -40,7 +30,7 @@ struct Geometry {
   std::uint8_t flags = 0;
 };
 
-bool geometry(const std::vector<std::uint8_t>& b, Geometry& g) noexcept {
+bool geometry(std::span<const std::uint8_t> b, Geometry& g) noexcept {
   if (b.size() < kMinPacketBytes + kIntTrailerBytes) return false;
   const std::size_t n = b.size();
   if (read_u32(&b[n - 4]) != kIntMagic) return false;
@@ -57,17 +47,21 @@ bool geometry(const std::vector<std::uint8_t>& b, Geometry& g) noexcept {
 
 }  // namespace
 
+void write_int_trailer(SpanWriter& w, std::uint8_t hop_cap) {
+  w.u8(0);                           // hop_count
+  w.u8(hop_cap == 0 ? 1 : hop_cap);  // hop_cap
+  w.u8(0);                           // flags
+  w.u8(kIntVersion);
+  w.u32(kIntMagic);
+}
+
 Packet with_int_trailer(const Packet& packet, std::uint8_t hop_cap) {
-  if (hop_cap == 0) hop_cap = 1;
-  std::vector<std::uint8_t> b = packet.bytes();
-  b.reserve(b.size() + kIntTrailerBytes + static_cast<std::size_t>(hop_cap) * kIntHopBytes);
-  b.push_back(0);         // hop_count
-  b.push_back(hop_cap);   // hop_cap
-  b.push_back(0);         // flags
-  b.push_back(kIntVersion);
-  b.resize(b.size() + 4);
-  write_u32(&b[b.size() - 4], kIntMagic);
-  return Packet(std::move(b));
+  const auto src = packet.bytes();
+  return Packet::build(src.size() + kIntTrailerBytes, [&](std::span<std::uint8_t> out) {
+    SpanWriter w(out);
+    w.raw(src);
+    write_int_trailer(w, hop_cap);
+  });
 }
 
 bool has_int_trailer(const Packet& packet) noexcept {
@@ -84,32 +78,34 @@ std::size_t int_trailer_size(const Packet& packet) noexcept {
 Packet push_int_hop(const Packet& packet, const telemetry::IntHop& hop, bool* truncated) {
   if (truncated != nullptr) *truncated = false;
   Geometry g;
-  const std::vector<std::uint8_t>& src = packet.bytes();
+  const auto src = packet.bytes();
   if (!geometry(src, g)) return packet;
-  std::vector<std::uint8_t> b = src;
-  const std::size_t n = b.size();
+  const std::size_t n = src.size();
   if (g.count >= g.cap) {
     // Stack full: record only that the path outgrew it.
-    b[n - 6] = static_cast<std::uint8_t>(g.flags | kIntFlagTruncated);
     if (truncated != nullptr) *truncated = true;
-    return Packet(std::move(b));
+    return Packet::build(n, [&](std::span<std::uint8_t> out) {
+      std::memcpy(out.data(), src.data(), n);
+      out[n - 6] = static_cast<std::uint8_t>(g.flags | kIntFlagTruncated);
+    });
   }
   // New hop goes at the top of the stack, directly before the fixed tail.
-  std::uint8_t rec[kIntHopBytes];
-  write_u32(rec, hop.switch_id);
-  write_u64(rec + 4, static_cast<std::uint64_t>(hop.ingress_ts));
-  write_u64(rec + 12, static_cast<std::uint64_t>(hop.egress_ts));
-  write_u32(rec + 20, hop.queue_depth);
-  write_u32(rec + 24, hop.rule_hit);
-  b.insert(b.begin() + static_cast<std::ptrdiff_t>(n - kIntTrailerBytes), rec,
-           rec + kIntHopBytes);
-  b[b.size() - 8] = static_cast<std::uint8_t>(g.count + 1);
-  return Packet(std::move(b));
+  return Packet::build(n + kIntHopBytes, [&](std::span<std::uint8_t> out) {
+    SpanWriter w(out);
+    w.raw(src.first(n - kIntTrailerBytes));
+    w.u32(hop.switch_id);
+    w.u64(static_cast<std::uint64_t>(hop.ingress_ts));
+    w.u64(static_cast<std::uint64_t>(hop.egress_ts));
+    w.u32(hop.queue_depth);
+    w.u32(hop.rule_hit);
+    w.raw(src.last(kIntTrailerBytes));
+    out[out.size() - 8] = static_cast<std::uint8_t>(g.count + 1);
+  });
 }
 
 std::optional<IntStack> read_int_stack(const Packet& packet) {
   Geometry g;
-  const std::vector<std::uint8_t>& b = packet.bytes();
+  const auto b = packet.bytes();
   if (!geometry(b, g)) return std::nullopt;
   IntStack stack;
   stack.hop_cap = g.cap;
@@ -130,10 +126,9 @@ std::optional<IntStack> read_int_stack(const Packet& packet) {
 
 Packet strip_int_trailer(const Packet& packet) {
   Geometry g;
-  const std::vector<std::uint8_t>& src = packet.bytes();
+  const auto src = packet.bytes();
   if (!geometry(src, g)) return packet;
-  std::vector<std::uint8_t> b(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(g.hops_offset));
-  return Packet(std::move(b));
+  return Packet(src.first(g.hops_offset));
 }
 
 }  // namespace swish::pkt

@@ -50,6 +50,10 @@ struct IntStack {
   bool truncated = false;
 };
 
+/// Writes an empty INT trailer (kIntTrailerBytes; hop_cap clamped to at
+/// least 1), for builders that put it into a fresh packet directly.
+void write_int_trailer(SpanWriter& w, std::uint8_t hop_cap);
+
 /// Returns `packet` with an empty INT trailer appended (hop_cap clamped to
 /// at least 1). This is the sampling decision point: only packets tagged
 /// here ever accumulate hop records.

@@ -1,10 +1,13 @@
 #include "packet/packet.hpp"
 
+#include <cstring>
+#include <new>
+
 namespace swish::pkt {
 
 namespace {
 
-std::optional<ParsedPacket> parse_bytes(const std::vector<std::uint8_t>& bytes) {
+std::optional<ParsedPacket> parse_bytes(std::span<const std::uint8_t> bytes) {
   try {
     ByteReader r(bytes);
     ParsedPacket out;
@@ -30,6 +33,13 @@ std::optional<ParsedPacket> parse_bytes(const std::vector<std::uint8_t>& bytes) 
   }
 }
 
+/// Bytes of the Ethernet/IPv4/L4 headers build_packet puts before the
+/// payload.
+std::size_t header_len(const PacketSpec& spec) noexcept {
+  return kEthernetHeaderLen + kIpv4HeaderLen +
+         (spec.protocol == kProtoTcp ? kTcpHeaderLen : kUdpHeaderLen);
+}
+
 }  // namespace
 
 PacketStats& PacketStats::global() noexcept {
@@ -37,25 +47,30 @@ PacketStats& PacketStats::global() noexcept {
   return stats;
 }
 
-Packet::Packet(std::vector<std::uint8_t> bytes) {
+Packet::Buffer* Packet::allocate(std::size_t size) {
   auto& stats = PacketStats::global();
   ++stats.buffers_created;
-  stats.buffer_bytes += bytes.size();
-  auto buf = std::make_shared<Buffer>();
-  buf->bytes = std::move(bytes);
-  buf_ = std::move(buf);
+  stats.buffer_bytes += size;
+  if (size > UINT32_MAX) throw BufferError("packet too large");
+  auto* buf = new (::operator new(sizeof(Buffer) + size)) Buffer;
+  buf->size = static_cast<std::uint32_t>(size);
+  return buf;
 }
 
-const std::vector<std::uint8_t>& Packet::empty_bytes() noexcept {
-  static const std::vector<std::uint8_t> empty;
-  return empty;
+void Packet::destroy(Buffer* buf) noexcept {
+  buf->~Buffer();
+  ::operator delete(buf);
+}
+
+Packet::Packet(std::span<const std::uint8_t> bytes) : Packet(allocate(bytes.size())) {
+  if (!bytes.empty()) std::memcpy(buf_->data(), bytes.data(), bytes.size());
 }
 
 const ParsedPacket* Packet::parsed() const {
   if (!buf_) return nullptr;
   if (!buf_->parse_done) {
     ++PacketStats::global().parse_executions;
-    buf_->parsed = parse_bytes(buf_->bytes);
+    buf_->parsed = parse_bytes(bytes());
     buf_->parse_done = true;
   } else {
     ++PacketStats::global().parse_cache_hits;
@@ -69,11 +84,10 @@ std::optional<ParsedPacket> Packet::parse() const {
   return *p;
 }
 
-Packet build_packet(const PacketSpec& spec) {
+void write_headers(SpanWriter& w, const PacketSpec& spec, std::size_t payload_len) {
   const std::size_t l4_len =
-      (spec.protocol == kProtoTcp ? kTcpHeaderLen : kUdpHeaderLen) + spec.payload.size();
+      (spec.protocol == kProtoTcp ? kTcpHeaderLen : kUdpHeaderLen) + payload_len;
 
-  ByteWriter w(kEthernetHeaderLen + kIpv4HeaderLen + l4_len);
   EthernetHeader eth{spec.eth_dst, spec.eth_src, kEtherTypeIpv4};
   eth.encode(w);
 
@@ -99,9 +113,17 @@ Packet build_packet(const PacketSpec& spec) {
     udp.length = static_cast<std::uint16_t>(l4_len);
     udp.encode(w);
   }
-  w.raw(spec.payload);
-  return Packet(std::move(w).take());
 }
+
+Packet build_packet(const PacketSpec& spec, std::span<const std::uint8_t> payload) {
+  return Packet::build(header_len(spec) + payload.size(), [&](std::span<std::uint8_t> out) {
+    SpanWriter w(out);
+    write_headers(w, spec, payload.size());
+    w.raw(payload);
+  });
+}
+
+Packet build_packet(const PacketSpec& spec) { return build_packet(spec, spec.payload); }
 
 Packet rewrite_l3l4(const Packet& packet, const ParsedPacket& parsed,
                     std::optional<Ipv4Addr> new_src_ip, std::optional<Ipv4Addr> new_dst_ip,
@@ -121,9 +143,7 @@ Packet rewrite_l3l4(const Packet& packet, const ParsedPacket& parsed,
     spec.tcp_flags = parsed.tcp->flags;
     spec.tcp_seq = parsed.tcp->seq;
   }
-  auto payload = packet.l4_payload(parsed);
-  spec.payload.assign(payload.begin(), payload.end());
-  Packet out = build_packet(spec);
+  Packet out = build_packet(spec, packet.l4_payload(parsed));
   auto& stats = PacketStats::global();
   ++stats.rewrite_copies;
   stats.rewrite_bytes += out.size();

@@ -12,9 +12,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "packet/headers.hpp"
@@ -81,15 +81,40 @@ struct PacketStats {
 
 /// An immutable network packet backed by a shared buffer. Rewrites go
 /// through the builder helpers, producing fresh bytes with fixed checksums.
+///
+/// The buffer is one heap block: an atomic reference count (handles cross
+/// shard threads), the parse cache, then the bytes.
 class Packet {
  public:
-  Packet() = default;
-  explicit Packet(std::vector<std::uint8_t> bytes);
+  Packet() noexcept = default;
+  /// Copies `bytes` into a fresh buffer.
+  explicit Packet(std::span<const std::uint8_t> bytes);
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
-    return buf_ ? buf_->bytes : empty_bytes();
+  /// A fresh `size`-byte packet whose bytes `fill` writes; `fill` receives
+  /// them as a std::span<std::uint8_t>. This is the only moment a buffer is
+  /// mutable: no copy or parse of the packet exists yet.
+  template <class Fill>
+  static Packet build(std::size_t size, Fill&& fill) {
+    Packet p(allocate(size));
+    fill(std::span<std::uint8_t>(p.buf_->data(), size));
+    return p;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_ ? buf_->bytes.size() : 0; }
+
+  Packet(const Packet& other) noexcept : buf_(other.buf_) {
+    if (buf_) ++buf_->refs;
+  }
+  Packet(Packet&& other) noexcept : buf_(std::exchange(other.buf_, nullptr)) {}
+  Packet& operator=(Packet other) noexcept {  // copy or move, then swap
+    std::swap(buf_, other.buf_);
+    return *this;
+  }
+  ~Packet() { release(); }
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    if (!buf_) return {};
+    return {buf_->data(), buf_->size};
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return buf_ ? buf_->size : 0; }
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
 
   /// Parses the header stack; returns nullopt on truncation / bad checksum /
@@ -102,9 +127,9 @@ class Packet {
   [[nodiscard]] const ParsedPacket* parsed() const;
 
   [[nodiscard]] std::span<const std::uint8_t> l4_payload(const ParsedPacket& p) const noexcept {
-    const auto& b = bytes();
+    const auto b = bytes();
     if (p.l4_payload_offset >= b.size()) return {};
-    return std::span<const std::uint8_t>(b).subspan(p.l4_payload_offset);
+    return b.subspan(p.l4_payload_offset);
   }
 
   /// True when both packets reference the same underlying buffer (i.e. no
@@ -114,21 +139,39 @@ class Packet {
   }
 
   /// Number of Packet handles sharing this packet's buffer (0 for empty).
-  [[nodiscard]] long buffer_use_count() const noexcept { return buf_ ? buf_.use_count() : 0; }
+  [[nodiscard]] long buffer_use_count() const noexcept {
+    return buf_ ? static_cast<long>(buf_->refs.load()) : 0;
+  }
 
  private:
+  /// Block header; the `size` bytes follow it in the same allocation.
   struct Buffer {
-    std::vector<std::uint8_t> bytes;
-    // Parse cache: valid once parse_done; immutability of `bytes` makes the
-    // cache trivially coherent. `mutable` because caching happens through
-    // shared_ptr<const Buffer>.
-    mutable std::optional<ParsedPacket> parsed;
+    std::atomic<std::uint32_t> refs{1};
+    std::uint32_t size = 0;
+    // Parse cache: valid once parse_done; immutability of the bytes makes
+    // the cache trivially coherent. `mutable` because caching happens
+    // through const handles.
     mutable bool parse_done = false;
+    mutable std::optional<ParsedPacket> parsed;
+
+    [[nodiscard]] std::uint8_t* data() noexcept {
+      return reinterpret_cast<std::uint8_t*>(this + 1);
+    }
+    [[nodiscard]] const std::uint8_t* data() const noexcept {
+      return reinterpret_cast<const std::uint8_t*>(this + 1);
+    }
   };
 
-  static const std::vector<std::uint8_t>& empty_bytes() noexcept;
+  explicit Packet(Buffer* buf) noexcept : buf_(buf) {}
+  /// One block for a `size`-byte buffer, reference count 1.
+  static Buffer* allocate(std::size_t size);
+  void release() noexcept {
+    if (buf_ && --buf_->refs == 0) destroy(buf_);
+    buf_ = nullptr;
+  }
+  static void destroy(Buffer* buf) noexcept;
 
-  std::shared_ptr<const Buffer> buf_;
+  Buffer* buf_ = nullptr;
 };
 
 /// Fields a caller supplies to build an L3/L4 packet; lengths and checksums
@@ -147,7 +190,16 @@ struct PacketSpec {
   std::vector<std::uint8_t> payload;
 };
 
-/// Builds a fully-encoded packet from the spec.
+/// Writes spec's Ethernet/IPv4/TCP-or-UDP headers for an L4 payload of
+/// `payload_len` bytes (lengths and checksum computed; spec.payload is not
+/// read). The payload itself goes right after.
+void write_headers(SpanWriter& w, const PacketSpec& spec, std::size_t payload_len);
+
+/// Builds a fully-encoded packet of spec's headers followed by `payload`,
+/// in one allocation (spec.payload is not read).
+Packet build_packet(const PacketSpec& spec, std::span<const std::uint8_t> payload);
+
+/// build_packet(spec, spec.payload).
 Packet build_packet(const PacketSpec& spec);
 
 /// Returns a copy of `packet` with rewritten IPv4 addresses/ports (the NAT

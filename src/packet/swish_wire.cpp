@@ -91,8 +91,20 @@ inline constexpr bool kIsVector = false;
 template <class T>
 inline constexpr bool kIsVector<std::vector<T>> = true;
 
+/// Counts the bytes an encode would write; Encoder<Sizer> walks a field
+/// list to size a message exactly before it is written.
+struct Sizer {
+  std::size_t n = 0;
+  void u8(std::uint8_t) { n += 1; }
+  void u16(std::uint16_t) { n += 2; }
+  void u32(std::uint32_t) { n += 4; }
+  void u64(std::uint64_t) { n += 8; }
+  void raw(std::span<const std::uint8_t> data) { n += data.size(); }
+};
+
+template <class Writer>
 struct Encoder {
-  ByteWriter& w;
+  Writer& w;
 
   void operator()(const auto&... f) { (put(f), ...); }
 
@@ -182,16 +194,10 @@ constexpr auto kDecoders = []<std::size_t... I>(std::index_sequence<I...>) {
       &decode_as<I>...};
 }(std::make_index_sequence<kNumMsgTypes>{});
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_message(const SwishMessage& msg) {
-  return encode_message(msg, telemetry::SpanContext{});
-}
-
-std::vector<std::uint8_t> encode_message(const SwishMessage& msg,
-                                         const telemetry::SpanContext& ctx) {
+/// Type byte (flagged when traced), the context if sampled, then the body.
+template <class Writer>
+void encode_into(Writer& w, const SwishMessage& msg, const telemetry::SpanContext& ctx) {
   const auto type = static_cast<std::uint8_t>(msg.index() + 1);
-  ByteWriter w(ctx.sampled() ? 64 + telemetry::kSpanContextWireBytes : 64);
   if (ctx.sampled()) {
     w.u8(type | kTracedFlag);
     w.u64(ctx.trace_id);
@@ -200,9 +206,32 @@ std::vector<std::uint8_t> encode_message(const SwishMessage& msg,
   } else {
     w.u8(type);
   }
-  Encoder enc{w};
+  Encoder<Writer> enc{w};
   std::visit([&enc](const auto& m) { fields(enc, m); }, msg);
-  return std::move(w).take();
+}
+
+}  // namespace
+
+std::size_t encoded_size(const SwishMessage& msg, const telemetry::SpanContext& ctx) {
+  Sizer sizer;
+  encode_into(sizer, msg, ctx);
+  return sizer.n;
+}
+
+void encode_message(SpanWriter& w, const SwishMessage& msg, const telemetry::SpanContext& ctx) {
+  encode_into(w, msg, ctx);
+}
+
+std::vector<std::uint8_t> encode_message(const SwishMessage& msg) {
+  return encode_message(msg, telemetry::SpanContext{});
+}
+
+std::vector<std::uint8_t> encode_message(const SwishMessage& msg,
+                                         const telemetry::SpanContext& ctx) {
+  std::vector<std::uint8_t> out(encoded_size(msg, ctx));
+  SpanWriter w(out);
+  encode_into(w, msg, ctx);
+  return out;
 }
 
 std::optional<SwishMessage> decode_message(std::span<const std::uint8_t> payload) {

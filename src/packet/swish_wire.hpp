@@ -367,6 +367,16 @@ inline const char* message_name(const SwishMessage& msg) noexcept {
   return kNames[msg.index()];
 }
 
+/// Exact byte length of the encoding of `msg` with `ctx` (a walk of the
+/// message's field list that writes nothing).
+[[nodiscard]] std::size_t encoded_size(const SwishMessage& msg,
+                                       const telemetry::SpanContext& ctx = {});
+
+/// Writes the encoding of `msg` with `ctx` — exactly encoded_size(msg, ctx)
+/// bytes — into `w`, e.g. straight into a packet buffer after its headers.
+void encode_message(SpanWriter& w, const SwishMessage& msg,
+                    const telemetry::SpanContext& ctx = {});
+
 /// Serializes a protocol message (type byte + body) into a UDP payload.
 std::vector<std::uint8_t> encode_message(const SwishMessage& msg);
 

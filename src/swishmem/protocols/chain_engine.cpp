@@ -89,7 +89,7 @@ bool ChainEngine::handle_message(const pkt::SwishMessage& msg) {
 // ---------------------------------------------------------------------------
 
 void ChainEngine::send_chain_msg(SwitchId dst, const pkt::SwishMessage& msg) {
-  stats_.bytes_write += host_.send(dst, msg);
+  stats_.bytes_write += host_.send({&dst, 1}, msg);
 }
 
 bool ChainEngine::chain_contains(const pkt::ChainConfig& chain, SwitchId sw) noexcept {
@@ -140,7 +140,7 @@ void ChainEngine::send_write_request(std::uint64_t write_id, const PendingWrite&
   req.writer = host_.self();
   req.write_id = write_id;
   req.ops = pw.ops;
-  send_chain_msg(chain.chain.front(), req);
+  send_chain_msg(chain.chain.front(), std::move(req));
 }
 
 // ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ void ChainEngine::head_process(pkt::WriteRequest msg) {
     if (chain.chain.back() == host_.self()) {
       tail_commit(msg);
     } else {
-      send_chain_msg(chain_successor(chain), msg);
+      send_chain_msg(chain_successor(chain), std::move(msg));
     }
   };
   run_hop(table_backed, write_id, std::move(work));
@@ -273,7 +273,7 @@ void ChainEngine::relay_process(pkt::WriteRequest msg) {
     if (chain.chain.back() == host_.self()) {
       tail_commit(msg);
     } else {
-      send_chain_msg(chain_successor(chain), msg);
+      send_chain_msg(chain_successor(chain), std::move(msg));
     }
   };
   run_hop(table_backed, write_id, std::move(work));
@@ -291,7 +291,9 @@ void ChainEngine::tail_commit(const pkt::WriteRequest& msg) {
     SroSpaceState& sp = *it->second;
     sp.clear_key_pending_up_to(msg.ops[i].key, msg.seqs[i]);
   }
-  pkt::WriteAck ack{msg.epoch, msg.writer, msg.write_id, msg.ops, msg.seqs};
+  // Wrapped once: every copy sends the same message without re-copying it.
+  const pkt::SwishMessage ack(
+      pkt::WriteAck{msg.epoch, msg.writer, msg.write_id, msg.ops, msg.seqs});
   send_chain_msg(msg.writer, ack);
   const pkt::ChainConfig& chain = host_.chain_for(msg.ops.empty() ? 0 : msg.ops.front().space);
   for (SwitchId member : chain.chain) {
@@ -332,8 +334,7 @@ ReadStatus ChainEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
       return ReadStatus::kMiss;
     }
     ++stats_.reads_redirected;
-    stats_.bytes_redirect +=
-        host_.send(chain.chain.back(), pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
+    stats_.bytes_redirect += redirect(chain.chain.back(), ctx->packet);
     return ReadStatus::kRedirected;
   }
   const SroSpaceState& sp = *it->second;
@@ -352,8 +353,7 @@ ReadStatus ChainEngine::read(pisa::PacketContext* ctx, std::uint32_t space, std:
       local_ok = true;
     } else {
       ++stats_.reads_redirected;
-      stats_.bytes_redirect +=
-          host_.send(chain.chain.back(), pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
+      stats_.bytes_redirect += redirect(chain.chain.back(), ctx->packet);
       return ReadStatus::kRedirected;
     }
   }

@@ -76,8 +76,9 @@ void ConsensusEngine::start() {
 
 void ConsensusEngine::reset() {
   for (auto& [id, sp] : spaces_) sp->reset(host_.sw().control_plane().token());
+  // Request ids keep counting across the wipe: the coordinator's dedup map
+  // still holds this writer's earlier (writer, req_id) pairs.
   pending_.clear();
-  pending_.restart_ids();
   log_.clear();
   progress_.clear();
   promises_.clear();
@@ -104,7 +105,7 @@ void ConsensusEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
     handle_message(msg);
     return;
   }
-  stats_.bytes += host_.send(dst, msg);
+  stats_.bytes += host_.send({&dst, 1}, msg);
 }
 
 std::vector<pkt::MsgType> ConsensusEngine::message_types() const {
@@ -200,7 +201,7 @@ void ConsensusEngine::on_prepare(const pkt::ConPrepare& msg) {
     if (slot <= applied_upto_) continue;
     promise.entries.push_back({slot, entry.ballot, entry.writer, entry.req_id, entry.ops});
   }
-  deliver(msg.coordinator, promise);
+  deliver(msg.coordinator, std::move(promise));
 }
 
 void ConsensusEngine::on_promise(const pkt::ConPromise& msg) {
@@ -343,8 +344,9 @@ void ConsensusEngine::send_accept(std::uint64_t slot) {
   auto lit = log_.find(slot);
   if (lit == log_.end()) return;
   auto pit = progress_.find(slot);
-  pkt::ConAccept accept{epoch(),          ballot_, slot, committed_upto_,
-                        lit->second.writer, lit->second.req_id, lit->second.ops};
+  const pkt::SwishMessage accept(pkt::ConAccept{epoch(), ballot_, slot, committed_upto_,
+                                                lit->second.writer, lit->second.req_id,
+                                                lit->second.ops});
   for (SwitchId m : members()) {
     if (m == host_.self()) continue;
     if (pit != progress_.end() && pit->second.accepted_by.contains(m)) continue;
@@ -388,8 +390,8 @@ void ConsensusEngine::advance_commit() {
       trace_point("con_commit", entry.ops.front().space, entry.ops.front().key);
       host_.recovery_tap(entry.ops, std::vector<SeqNum>(entry.ops.size(), slot));
     }
-    pkt::ConLearn learn{epoch(),      ballot_,       slot, committed_upto_,
-                        entry.writer, entry.req_id, entry.ops};
+    const pkt::SwishMessage learn(pkt::ConLearn{epoch(), ballot_, slot, committed_upto_,
+                                                entry.writer, entry.req_id, entry.ops});
     for (SwitchId m : members()) {
       if (m == host_.self()) continue;
       deliver(m, learn);
@@ -568,8 +570,7 @@ ReadStatus ConsensusEngine::read(pisa::PacketContext* ctx, std::uint32_t space,
       // the local copy rather than dropping the packet.
     } else {
       ++stats_.reads_redirected;
-      stats_.bytes +=
-          host_.send(coordinator_, pkt::ReadRedirect{host_.self(), ctx->packet.bytes()});
+      stats_.bytes += redirect(coordinator_, ctx->packet);
       return ReadStatus::kRedirected;
     }
   }

@@ -123,6 +123,11 @@ std::string ProtocolEngine::metric_prefix(const char* proto_name) const {
   return "shm.sw" + std::to_string(host_.self()) + "." + proto_name + ".";
 }
 
+std::size_t ProtocolEngine::redirect(SwitchId dst, const pkt::Packet& packet) {
+  const auto bytes = packet.bytes();
+  return host_.send({&dst, 1}, pkt::ReadRedirect{self_, {bytes.begin(), bytes.end()}});
+}
+
 std::uint64_t RetryPath::mint_id() noexcept {
   return (static_cast<std::uint64_t>(host_.self()) << 40) | (++next_id_ & ((1ULL << 40) - 1));
 }

@@ -199,6 +199,9 @@ class ProtocolEngine {
   [[nodiscard]] telemetry::MetricsRegistry& host_metrics() const;
   /// This engine's registry subtree: "shm.sw<id>.<proto_name>.".
   [[nodiscard]] std::string metric_prefix(const char* proto_name) const;
+  /// Encapsulates `packet` to `dst` as a ReadRedirect (§6.1); returns the
+  /// wire bytes sent.
+  std::size_t redirect(SwitchId dst, const pkt::Packet& packet);
 
   /// Starts — or continues — the sampled causal chain for a write
   /// originating on this switch. When the current dispatch already carries a
@@ -270,9 +273,10 @@ struct RetryPolicy {
 /// RetryTable's runtime calls, out of the template (ShmRuntime is incomplete here).
 class RetryPath {
  public:
-  /// A fabric-unique request id: the switch id above a 40-bit counter.
+  /// A fabric-unique request id: the switch id above a 40-bit counter. The
+  /// counter keeps counting across a state wipe: other switches may still
+  /// hold this switch's earlier ids (dedup maps, in-flight answers).
   [[nodiscard]] std::uint64_t mint_id() noexcept;
-  void restart_ids() noexcept { next_id_ = 0; }
   RetryPath(const RetryPath&) = delete;  // armed timers hold its address
   RetryPath& operator=(const RetryPath&) = delete;
 

@@ -1,6 +1,7 @@
 #include "swishmem/protocols/ewo_engine.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "swishmem/runtime.hpp"
 #include "swishmem/version.hpp"
@@ -51,10 +52,18 @@ bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
   ++stats_.updates_received;
   const bool observe = obs_.enabled();
   bool merged_any = false;
+  // Entries come in runs of one space (a flush or sync chunk collects space
+  // by space), so the space is looked up once per run, not once per entry.
+  EwoSpaceState* st = nullptr;
+  std::optional<std::uint32_t> st_id;
   for (const auto& entry : update->entries) {
-    auto it = spaces_.find(entry.space);
-    if (it == spaces_.end()) continue;
-    const bool merged = it->second->merge(entry);
+    if (entry.space != st_id) {
+      auto it = spaces_.find(entry.space);
+      st = it == spaces_.end() ? nullptr : it->second.get();
+      st_id = entry.space;
+    }
+    if (st == nullptr) continue;
+    const bool merged = st->merge(entry);
     if (merged) {
       ++stats_.entries_merged;
       merged_any = true;
@@ -72,7 +81,7 @@ bool EwoEngine::handle_message(const pkt::SwishMessage& msg) {
       // the observatory (identity subsume + one count per replica).
       NodeId origin;
       std::uint64_t ident;
-      if (it->second->config().merge == MergePolicy::kLww) {
+      if (st->config().merge == MergePolicy::kLww) {
         origin = Version::switch_id(entry.version);
         ident = entry.version;
       } else {
@@ -207,11 +216,23 @@ void EwoEngine::mirror_enqueue(const EwoSpaceState& st, std::uint64_t key,
   if (mirror_buffer_.size() >= st.config().mirror_batch) flush_mirror_buffer();
 }
 
+const std::vector<SwitchId>& EwoEngine::peers() {
+  peers_.clear();
+  for (SwitchId m : replication_targets()) {
+    if (m != host_.self()) peers_.push_back(m);
+  }
+  return peers_;
+}
+
 void EwoEngine::flush_mirror_buffer() {
   if (mirror_buffer_.empty()) return;
-  pkt::EwoUpdate update;
+  // Built in the reused scratch message, already wrapped as the SwishMessage
+  // send() takes: no per-flush copy, and the entries keep their capacity
+  // from one flush to the next.
+  auto& update = std::get<pkt::EwoUpdate>(mirror_msg_);
   update.origin = host_.self();
   update.periodic = false;
+  update.entries.clear();
   // A coalesced flush carries one trace context on the wire: the first
   // sampled write in the batch. Later sampled writes in the same batch lose
   // their individual linkage (documented in DESIGN.md §9).
@@ -222,13 +243,9 @@ void EwoEngine::flush_mirror_buffer() {
   }
   mirror_buffer_.clear();
   ActiveTraceScope scope(host_, flush_trace);
-  std::uint64_t copies = 0;
-  for (SwitchId dst : replication_targets()) {
-    if (dst == host_.self()) continue;
-    stats_.bytes += host_.send(dst, update);
-    ++copies;
-  }
-  stats_.updates_sent += copies;
+  const std::vector<SwitchId>& dsts = peers();
+  stats_.bytes += host_.send(dsts, mirror_msg_);
+  stats_.updates_sent += dsts.size();
 }
 
 void EwoEngine::periodic_sync() {
@@ -244,10 +261,7 @@ void EwoEngine::periodic_sync() {
   for (const std::uint32_t id : ids) spaces_.at(id)->collect_sync_entries(all);
   if (all.empty()) return;
 
-  std::vector<SwitchId> targets;
-  for (SwitchId m : replication_targets()) {
-    if (m != host_.self()) targets.push_back(m);
-  }
+  const std::vector<SwitchId>& targets = peers();
   if (targets.empty()) return;
 
   // Root a span per sync round so anti-entropy repair traffic is visible in
@@ -256,24 +270,23 @@ void EwoEngine::periodic_sync() {
   ActiveTraceScope scope(host_, sync_trace.sampled() ? sync_trace : host_.active_trace());
 
   const std::size_t chunk = host_.config().sync_chunk_entries;
+  pkt::SwishMessage msg(std::in_place_type<pkt::EwoUpdate>);
+  auto& update = std::get<pkt::EwoUpdate>(msg);
+  update.origin = host_.self();
+  update.periodic = true;
   for (std::size_t off = 0; off < all.size(); off += chunk) {
-    pkt::EwoUpdate update;
-    update.origin = host_.self();
-    update.periodic = true;
     const std::size_t end = std::min(off + chunk, all.size());
     update.entries.assign(all.begin() + static_cast<std::ptrdiff_t>(off),
                           all.begin() + static_cast<std::ptrdiff_t>(end));
     if (host_.config().sync_fanout == SyncFanout::kRandomOne) {
       const SwitchId dst = targets[rng_.next_below(targets.size())];
-      stats_.bytes += host_.send(dst, update);
+      stats_.bytes += host_.send({&dst, 1}, msg);
       stats_.sync_entries_sent += update.entries.size();
       ++stats_.updates_sent;
     } else {
-      for (SwitchId dst : targets) {
-        stats_.bytes += host_.send(dst, update);
-        stats_.sync_entries_sent += update.entries.size();
-        ++stats_.updates_sent;
-      }
+      stats_.bytes += host_.send(targets, msg);
+      stats_.sync_entries_sent += update.entries.size() * targets.size();
+      stats_.updates_sent += targets.size();
     }
   }
 }

@@ -72,6 +72,9 @@ class EwoEngine final : public ProtocolEngine {
   void flush_mirror_buffer();
   void periodic_sync();
   [[nodiscard]] const std::vector<SwitchId>& replication_targets() const noexcept;
+  /// The replication targets other than this switch, refreshed into the
+  /// reused `peers_` list.
+  const std::vector<SwitchId>& peers();
   /// Replicas other than this switch (expected applies for lag accounting).
   [[nodiscard]] std::uint32_t expected_replicas() const noexcept;
 
@@ -81,6 +84,11 @@ class EwoEngine final : public ProtocolEngine {
   // add-only and unique_ptr-owned, so the pointers stay valid and the flush
   // avoids a map lookup per buffered entry.
   std::vector<MirrorSlot> mirror_buffer_;
+
+  // Reused across flushes: the mirror message (an EwoUpdate) and the peer
+  // list it goes to.
+  pkt::SwishMessage mirror_msg_{std::in_place_type<pkt::EwoUpdate>};
+  std::vector<SwitchId> peers_;
 
   // Scratch for publish_crdt: with the observatory on, every local write
   // collects its own entries — reusing one buffer keeps that allocation-free.

@@ -53,10 +53,9 @@ void OwnerEngine::reset() {
   // Home-side pending grants carry no timers (the requester's retry re-drives
   // a lost migration), so clearing the map is the whole cleanup.
   pending_grants_.clear();
-  // A replacement switch boots empty: the req_id counter restarts too. Stale
-  // grants addressed to the pre-failure incarnation are rejected by the
-  // req_id guard on the (freshly emptied) pending_acquires_ map.
-  pending_acquires_.restart_ids();
+  // Request ids keep counting across the wipe, so a stale grant addressed
+  // to the pre-failure incarnation never matches a new acquisition's req_id
+  // and is rejected by the guard on the (freshly emptied) pending map.
 }
 
 void OwnerEngine::on_config_update() {
@@ -130,7 +129,7 @@ void OwnerEngine::deliver(SwitchId dst, const pkt::SwishMessage& msg) {
     handle_message(msg);
     return;
   }
-  stats_.bytes += host_.send(dst, msg);
+  stats_.bytes += host_.send({&dst, 1}, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ void OwnerEngine::send_backup_entries(std::uint32_t space, const OwnSpaceState& 
       update.entries.assign(entries.begin() + static_cast<std::ptrdiff_t>(off),
                             entries.begin() + static_cast<std::ptrdiff_t>(end));
       stats_.backup_entries_sent += update.entries.size();
-      deliver(home, update);
+      deliver(home, std::move(update));
     }
   }
 }

@@ -49,6 +49,32 @@ telemetry::TraceCategory msg_trace_category(const pkt::SwishMessage& msg) noexce
   }
 }
 
+/// Ethernet/IPv4/UDP header bytes in front of every protocol message.
+constexpr std::size_t kFrameHeaderBytes =
+    pkt::kEthernetHeaderLen + pkt::kIpv4HeaderLen + pkt::kUdpHeaderLen;
+
+/// One protocol frame in one allocation: the UDP/IP headers from `src` to
+/// `dst`, the `payload_len` message bytes `write_payload` puts after them,
+/// then an empty INT trailer when `int_bytes` is non-zero.
+template <class WritePayload>
+pkt::Packet wrap(SwitchId src, SwitchId dst, std::size_t payload_len, std::size_t int_bytes,
+                 std::uint8_t int_hop_cap, WritePayload&& write_payload) {
+  pkt::PacketSpec spec;
+  spec.eth_src = pkt::MacAddr::for_node(src);
+  spec.eth_dst = pkt::MacAddr::for_node(dst);
+  spec.ip_src = net::node_ip(src);
+  spec.ip_dst = net::node_ip(dst);
+  spec.protocol = pkt::kProtoUdp;
+  spec.src_port = pkt::kSwishPort;
+  spec.dst_port = pkt::kSwishPort;
+  return pkt::Packet::build(kFrameHeaderBytes + payload_len + int_bytes, [&](auto out) {
+    SpanWriter w(out);
+    pkt::write_headers(w, spec, payload_len);
+    write_payload(w);
+    if (int_bytes > 0) pkt::write_int_trailer(w, int_hop_cap);
+  });
+}
+
 /// Cap on the retry-reuse span cache; blunt-cleared beyond this (a cleared
 /// entry only means a late retransmission starts a fresh span).
 constexpr std::size_t kMaxSendSpans = 65536;
@@ -108,7 +134,9 @@ ShmRuntime::ShmRuntime(pisa::Switch& sw, RuntimeConfig config, NodeId controller
       // of the chain until the controller readmits it again.
       recovery_inflight_(
           *this, {telemetry::DropReason::kRecoveryAbandoned, &recovery_chunks_sent_, nullptr},
-          [this](std::uint64_t, auto& e) { recovery_bytes_ += send(recovery_->target, e.payload); },
+          [this](std::uint64_t, auto& e) {
+            recovery_bytes_ += send({&recovery_->target, 1}, e.payload);
+          },
           [this](std::uint64_t) { end_recovery_stream(); }),
       rng_(0x5115 ^ (sw.id() * 0x9e3779b9ULL)) {
   telemetry::MetricsRegistry& reg = sw.simulator().metrics();
@@ -192,8 +220,8 @@ void ShmRuntime::start() {
     }
   } else if (controller_ != kInvalidNode) {
     background_.push_back(sw_.start_packet_generator(config_.heartbeat_period, [this]() {
-      control_bytes_ += send(
-          controller_, pkt::Heartbeat{sw_.id(), static_cast<std::uint64_t>(sw_.simulator().now())});
+      const pkt::Heartbeat beat{sw_.id(), static_cast<std::uint64_t>(sw_.simulator().now())};
+      control_bytes_ += send({&controller_, 1}, beat);
     }));
   }
   for (const auto& e : engines_) e->start();
@@ -251,20 +279,6 @@ bool ShmRuntime::in_chain() const noexcept {
 // Transport (engine services)
 // ---------------------------------------------------------------------------
 
-pkt::Packet ShmRuntime::wrap(SwitchId dst, const pkt::SwishMessage& msg,
-                             const telemetry::SpanContext& ctx) const {
-  pkt::PacketSpec spec;
-  spec.eth_src = pkt::MacAddr::for_node(sw_.id());
-  spec.eth_dst = pkt::MacAddr::for_node(dst);
-  spec.ip_src = net::node_ip(sw_.id());
-  spec.ip_dst = net::node_ip(dst);
-  spec.protocol = pkt::kProtoUdp;
-  spec.src_port = pkt::kSwishPort;
-  spec.dst_port = pkt::kSwishPort;
-  spec.payload = pkt::encode_message(msg, ctx);
-  return pkt::build_packet(spec);
-}
-
 telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::SwishMessage& msg) {
   // Fast path for the sampling-disabled steady state: nothing sampled is in
   // flight and no retransmission context is cached, so there is nothing to
@@ -287,41 +301,64 @@ telemetry::SpanContext ShmRuntime::outgoing_trace(SwitchId dst, const pkt::Swish
   return ctx;
 }
 
-std::size_t ShmRuntime::send(SwitchId dst, const pkt::SwishMessage& msg) {
-  telemetry::SpanContext trace_ctx;
-  // Inline what outgoing_trace's fast path would check, so the steady state
-  // with tracing enabled but nothing sampled skips the call entirely.
-  if (sw_.spans().enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
-    trace_ctx = outgoing_trace(dst, msg);
-  }
-  pkt::Packet packet = wrap(dst, msg, trace_ctx);
-  // INT-MD sampling of protocol traffic: 1-in-N sends get the telemetry
-  // trailer. The trailer bytes are charged to the bytes_int class (not the
-  // message's own class — the caller-visible size excludes them), keeping
-  // the per-class counters summing to bytes_total exactly.
-  std::size_t int_overhead = 0;
-  if (config_.int_sample_every > 0 && --int_countdown_ == 0) {
-    int_countdown_ = config_.int_sample_every;
-    packet = pkt::with_int_trailer(
-        packet, static_cast<std::uint8_t>(std::min<unsigned>(config_.int_hop_cap, 255u)));
-    int_overhead = pkt::kIntTrailerBytes;
-    int_bytes_ += int_overhead;
-  }
-  const std::size_t n = packet.size();
-  total_bytes_ += n;
-  // Per-class protocol-message tracing: every protocol byte leaves through
-  // here, so one probe covers all four engines. The mask pre-check keeps the
-  // category/name switches off the path when tracing is disabled.
+std::size_t ShmRuntime::send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg) {
+  // Copies without a trace context carry identical bytes: the first one
+  // encodes the message into its frame, later ones copy it from there.
+  // Everything else is per copy and in the order of one send per
+  // destination — span lookup, INT countdown, byte counters, trace record,
+  // flow hash — so a fan-out is indistinguishable from a loop of sends.
+  pkt::Packet plain;                    // first untraced frame, kept alive
+  std::span<const std::uint8_t> body;   // its encoded message
   telemetry::Tracer& tracer = sw_.simulator().tracer();
-  if (tracer.mask() != 0) {
-    tracer.record(msg_trace_category(msg), sw_.id(), pkt::message_name(msg), dst, n);
+  const auto hop_cap = static_cast<std::uint8_t>(std::min<unsigned>(config_.int_hop_cap, 255u));
+  std::size_t sent = 0;
+  for (const SwitchId dst : dsts) {
+    telemetry::SpanContext trace_ctx;
+    // Inline what outgoing_trace's fast path would check, so the steady
+    // state with tracing enabled but nothing sampled skips the call.
+    if (sw_.spans().enabled() && (active_trace_.sampled() || !send_spans_.empty())) {
+      trace_ctx = outgoing_trace(dst, msg);
+    }
+    // INT-MD sampling of protocol traffic: 1-in-N sends get the telemetry
+    // trailer. The trailer bytes are charged to the bytes_int class (not the
+    // message's own class — the caller-visible size excludes them), keeping
+    // the per-class counters summing to bytes_total exactly.
+    std::size_t int_overhead = 0;
+    if (config_.int_sample_every > 0 && --int_countdown_ == 0) {
+      int_countdown_ = config_.int_sample_every;
+      int_overhead = pkt::kIntTrailerBytes;
+      int_bytes_ += int_overhead;
+    }
+    pkt::Packet packet;
+    if (trace_ctx.sampled()) {
+      packet = wrap(sw_.id(), dst, pkt::encoded_size(msg, trace_ctx), int_overhead, hop_cap,
+                    [&](SpanWriter& w) { pkt::encode_message(w, msg, trace_ctx); });
+    } else if (body.empty()) {
+      const std::size_t len = pkt::encoded_size(msg);
+      packet = wrap(sw_.id(), dst, len, int_overhead, hop_cap,
+                    [&](SpanWriter& w) { pkt::encode_message(w, msg); });
+      plain = packet;
+      body = plain.bytes().subspan(kFrameHeaderBytes, len);
+    } else {
+      packet = wrap(sw_.id(), dst, body.size(), int_overhead, hop_cap,
+                    [&](SpanWriter& w) { w.raw(body); });
+    }
+    const std::size_t n = packet.size();
+    total_bytes_ += n;
+    // Per-class protocol-message tracing: every protocol byte leaves through
+    // here, so one probe covers all four engines. The mask pre-check keeps
+    // the category/name switches off the path when tracing is disabled.
+    if (tracer.mask() != 0) {
+      tracer.record(msg_trace_category(msg), sw_.id(), pkt::message_name(msg), dst, n);
+    }
+    sw_.send_to_node(dst, std::move(packet), rng_.next());
+    sent += n - int_overhead;
   }
-  sw_.send_to_node(dst, std::move(packet), rng_.next());
-  return n - int_overhead;
+  return sent;
 }
 
 std::size_t ShmRuntime::send_control(SwitchId dst, const pkt::SwishMessage& msg) {
-  const std::size_t n = send(dst, msg);
+  const std::size_t n = send({&dst, 1}, msg);
   control_bytes_ += n;
   return n;
 }
@@ -617,7 +654,7 @@ void ShmRuntime::on_recovery_chunk(const pkt::WriteRequest& msg) {
   }
   // Duplicate or just-applied chunk: (re-)ack.
   recovery_bytes_ +=
-      send(msg.writer, pkt::WriteAck{kRecoveryEpoch, msg.writer, msg.write_id, {}, {}});
+      send({&msg.writer, 1}, pkt::WriteAck{kRecoveryEpoch, msg.writer, msg.write_id, {}, {}});
 }
 
 void ShmRuntime::reset_state() {

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -206,9 +207,10 @@ class ShmRuntime {
   [[nodiscard]] const pkt::GroupConfig& group() const noexcept { return group_; }
   /// Replica set passed to add_space (the full deployment by default).
   [[nodiscard]] const std::vector<SwitchId>& deployment() const noexcept { return deployment_; }
-  /// Sends one protocol message into the fabric; returns its wire bytes so
-  /// the engine can account its own protocol bandwidth.
-  std::size_t send(SwitchId dst, const pkt::SwishMessage& msg);
+  /// Sends one protocol message to each of `dsts`, in order; returns the
+  /// copies' summed wire bytes so the engine can account its own protocol
+  /// bandwidth. Copies that carry no trace context share one encoding.
+  std::size_t send(std::span<const SwitchId> dsts, const pkt::SwishMessage& msg);
   /// send() plus control-class byte accounting (heartbeats, SWIM traffic);
   /// keeps the per-class counters summing to bytes_total.
   std::size_t send_control(SwitchId dst, const pkt::SwishMessage& msg);
@@ -300,8 +302,6 @@ class ShmRuntime {
   void on_recovery_chunk(const pkt::WriteRequest& msg);
   void retire_recovery_if_joined(const std::vector<SwitchId>& chain);
 
-  [[nodiscard]] pkt::Packet wrap(SwitchId dst, const pkt::SwishMessage& msg,
-                                 const telemetry::SpanContext& ctx) const;
   void notify_config_update();
 
   /// Trace context to put on the wire for this send. Retransmissions of an

@@ -1,8 +1,10 @@
 // Unit tests: RNG/distributions, statistics, byte buffers, table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/rng.hpp"
@@ -226,6 +228,23 @@ TEST(ByteBuffer, PatchOutOfRangeThrows) {
   ByteWriter w;
   w.u8(1);
   EXPECT_THROW(w.patch_u16(0, 1), BufferError);
+}
+
+TEST(ByteBuffer, SpanWriterFillsItsStorageAndNeverGrows) {
+  std::vector<std::uint8_t> out(7);
+  SpanWriter w(out);
+  w.u8(0xAB);
+  w.u16(0xCDEF);
+  w.u32(0x01234567);
+  EXPECT_THROW(w.u8(0), BufferError);  // storage full: no growth
+  ByteWriter ref;
+  ref.u8(0xAB);
+  ref.u16(0xCDEF);
+  ref.u32(0x01234567);
+  EXPECT_TRUE(std::ranges::equal(out, ref.bytes()));
+  w.patch_u16(1, 0xBEEF);
+  EXPECT_EQ(out[1], 0xBE);
+  EXPECT_THROW(w.patch_u16(6, 1), BufferError);
 }
 
 TEST(TextTable, AlignsColumns) {

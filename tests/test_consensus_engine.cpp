@@ -245,6 +245,37 @@ TEST(Consensus, RevivedReplicaCatchesUpFromRepair) {
   }
 }
 
+TEST(Consensus, RevivedWriterIsNotMistakenForItsPreFailureSelf) {
+  // The coordinator remembers which (writer, req_id) pairs it has already
+  // sequenced. A revived writer boots empty but must not reuse the ids of
+  // its pre-failure writes, or its new writes are ignored as duplicates.
+  Rig rig(cfg4());
+  rig.fabric.run_for(50 * kMs);  // switch 0 coordinates
+  for (int k = 0; k < 5; ++k) {
+    rig.fabric.sw(3).inject(udp(static_cast<std::uint16_t>(100 + k),
+                                static_cast<std::uint16_t>(1000 + k)));
+  }
+  rig.fabric.run_for(50 * kMs);
+  ASSERT_EQ(rig.delivered, 5u);
+  rig.fabric.kill_switch(3);
+  rig.fabric.run_for(150 * kMs);
+  rig.fabric.revive_switch(3);
+  rig.fabric.run_for(400 * kMs);  // readmission + catch-up
+  for (int k = 0; k < 5; ++k) {
+    rig.fabric.sw(3).inject(udp(static_cast<std::uint16_t>(200 + k),
+                                static_cast<std::uint16_t>(1010 + k)));
+  }
+  rig.fabric.run_for(50 * kMs);
+  EXPECT_EQ(rig.delivered, 10u);
+  EXPECT_EQ(rig.fabric.runtime(3).stats().writes_failed, 0u);
+  for (std::size_t i = 0; i < rig.fabric.size(); ++i) {
+    for (int k = 0; k < 5; ++k) {
+      EXPECT_EQ(rig.stored(i, kSpaceA, 10 + k).value_or(~0ull), 200u + k)
+          << "replica " << i << " key " << 10 + k;
+    }
+  }
+}
+
 TEST(Consensus, SparseSpacesCarryTransactionsToo) {
   FabricConfig cfg = cfg4();
   Rig rig(cfg, SpaceKind::kSparse);

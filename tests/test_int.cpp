@@ -9,6 +9,8 @@
 // {1, 2, 4} under loss).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <map>
 #include <sstream>
 #include <string>
@@ -82,7 +84,7 @@ TEST(IntWire, TrailerRoundTrip) {
   EXPECT_EQ(stack->hops[2].ingress_ts, 2200);
 
   const Packet stripped = strip_int_trailer(p);
-  EXPECT_EQ(stripped.bytes(), orig.bytes());  // byte-exact restoration
+  EXPECT_TRUE(std::ranges::equal(stripped.bytes(), orig.bytes()));  // byte-exact restoration
 }
 
 TEST(IntWire, HopCapSetsTruncationBitInsteadOfGrowing) {

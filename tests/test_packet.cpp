@@ -89,9 +89,8 @@ TEST(Packet, UdpRoundTrip) {
 
 TEST(Packet, TruncatedFailsParse) {
   const Packet full = build_packet(tcp_spec());
-  auto bytes = full.bytes();
-  bytes.resize(kEthernetHeaderLen + 10);  // cut inside IPv4 header
-  EXPECT_FALSE(Packet(bytes).parse().has_value());
+  // Cut inside the IPv4 header.
+  EXPECT_FALSE(Packet(full.bytes().first(kEthernetHeaderLen + 10)).parse().has_value());
 }
 
 TEST(Packet, EmptyFailsParse) { EXPECT_FALSE(Packet{}.parse().has_value()); }

@@ -3,6 +3,8 @@
 // and rewrites are copy-on-write (the original is never mutated).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,7 +37,7 @@ TEST(PacketSharing, CopiesShareOneBuffer) {
   EXPECT_TRUE(another.shares_buffer_with(original));
   EXPECT_EQ(original.buffer_use_count(), 3);
   // Same bytes object, not equal bytes: no copy happened.
-  EXPECT_EQ(&copy.bytes(), &original.bytes());
+  EXPECT_EQ(copy.bytes().data(), original.bytes().data());
 
   pkt::Packet moved = std::move(copy);
   EXPECT_TRUE(moved.shares_buffer_with(original));
@@ -76,7 +78,7 @@ TEST(PacketSharing, ParseRunsOncePerBufferAcrossCopies) {
 
 TEST(PacketSharing, RewriteIsCopyOnWrite) {
   pkt::Packet original = make_udp_packet();
-  const std::vector<std::uint8_t> bytes_before = original.bytes();
+  const std::vector<std::uint8_t> bytes_before(original.bytes().begin(), original.bytes().end());
   auto parsed = original.parse();
   ASSERT_TRUE(parsed.has_value());
   const pkt::ParsedPacket* cached_before = original.parsed();
@@ -90,7 +92,7 @@ TEST(PacketSharing, RewriteIsCopyOnWrite) {
   // The rewrite produced a fresh buffer; the original is untouched: same
   // bytes, same cached parse object, and no sharing with the rewrite.
   EXPECT_FALSE(rewritten.shares_buffer_with(original));
-  EXPECT_EQ(original.bytes(), bytes_before);
+  EXPECT_TRUE(std::ranges::equal(original.bytes(), bytes_before));
   EXPECT_EQ(original.parsed(), cached_before);
   ASSERT_TRUE(rewritten.parse().has_value());
   EXPECT_EQ(rewritten.parse()->ipv4->src.value(), pkt::Ipv4Addr(9, 9, 9, 9).value());
@@ -141,7 +143,7 @@ TEST(PacketSharing, MulticastFanOutSharesOneBuffer) {
   ASSERT_EQ(pc->packets.size(), 1u);
   EXPECT_TRUE(pb->packets[0].shares_buffer_with(original));
   EXPECT_TRUE(pc->packets[0].shares_buffer_with(original));
-  EXPECT_EQ(&pb->packets[0].bytes(), &original.bytes());
+  EXPECT_EQ(pb->packets[0].bytes().data(), original.bytes().data());
   // The entire fan-out allocated zero new buffers.
   EXPECT_EQ(stats.buffers_created, 0u);
   EXPECT_EQ(stats.rewrite_copies, 0u);

@@ -2,7 +2,16 @@
 // loss, LWW vs CRDT convergence, clock-skew behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "net/topology.hpp"
 #include "nf/common.hpp"
+#include "packet/int_md.hpp"
 #include "swishmem/fabric.hpp"
 
 namespace swish::shm {
@@ -230,6 +239,82 @@ TEST_P(LossSweep, CountersEventuallyExactAtAnyLossRate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Loss, LossSweep, ::testing::Values(0.0, 0.05, 0.2, 0.5));
+
+/// One mirror flush fans out to every peer: per-copy trace contexts and INT
+/// trailers must leave each frame byte-identical to the frame one send per
+/// destination builds from encode_message.
+struct Fanout {
+  const char* name;
+  std::uint64_t span_sample;  ///< 0: span recorder off
+  std::uint64_t int_sample;   ///< 0: INT off
+};
+
+void PrintTo(const Fanout& f, std::ostream* os) { *os << f.name; }
+
+class EwoFanout : public ::testing::TestWithParam<Fanout> {};
+
+TEST_P(EwoFanout, FlushFramesMatchPerDestinationEncoding) {
+  FabricConfig cfg;
+  cfg.num_switches = 5;
+  cfg.runtime.sync_period = 10 * kSec;  // no sync traffic
+  cfg.int_sample_every = GetParam().int_sample;
+  Rig rig(cfg, /*mirror_batch=*/4);
+  if (GetParam().span_sample > 0) rig.fabric.enable_spans(GetParam().span_sample);
+  const SwitchId src = rig.fabric.runtime(0).self();
+  std::vector<std::pair<NodeId, pkt::Packet>> frames;
+  rig.fabric.network().set_tap([&](NodeId from, NodeId to, const pkt::Packet& p, TimeNs) {
+    const pkt::ParsedPacket* parsed = p.parsed();
+    if (from != src || parsed == nullptr || !parsed->udp ||
+        parsed->udp->dst_port != pkt::kSwishPort) {
+      return;
+    }
+    const auto payload = p.l4_payload(*parsed);
+    const auto type = static_cast<std::uint8_t>(payload[0] & ~pkt::kTracedFlag);
+    if (type == static_cast<std::uint8_t>(pkt::MsgType::kEwoUpdate)) frames.emplace_back(to, p);
+  });
+  // Four counter writes fill the batch; the fourth flushes it.
+  for (std::uint16_t k = 0; k < 4; ++k) rig.fabric.sw(0).inject(udp(0, 1000 + k));
+
+  pkt::EwoUpdate update;
+  update.origin = src;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    rig.fabric.runtime(0).ewo_space(kCtr)->collect_own_entries(k, update.entries);
+  }
+  ASSERT_EQ(frames.size(), 4u);
+  std::set<NodeId> dsts;
+  std::size_t traced = 0;
+  std::size_t with_int = 0;
+  for (const auto& [dst, frame] : frames) {
+    dsts.insert(dst);
+    telemetry::SpanContext ctx;
+    ASSERT_TRUE(pkt::decode_message(frame.l4_payload(*frame.parsed()), &ctx).has_value());
+    pkt::PacketSpec spec;
+    spec.eth_src = pkt::MacAddr::for_node(src);
+    spec.eth_dst = pkt::MacAddr::for_node(dst);
+    spec.ip_src = net::node_ip(src);
+    spec.ip_dst = net::node_ip(dst);
+    spec.protocol = pkt::kProtoUdp;
+    spec.src_port = pkt::kSwishPort;
+    spec.dst_port = pkt::kSwishPort;
+    pkt::Packet expected = pkt::build_packet(spec, pkt::encode_message(update, ctx));
+    if (const auto stack = pkt::read_int_stack(frame)) {
+      // The sender's egress already pushed its hop record.
+      expected = pkt::with_int_trailer(expected, stack->hop_cap);
+      for (const auto& hop : stack->hops) expected = pkt::push_int_hop(expected, hop);
+      ++with_int;
+    }
+    EXPECT_TRUE(std::ranges::equal(frame.bytes(), expected.bytes())) << "frame to " << dst;
+    if (ctx.sampled()) ++traced;
+  }
+  EXPECT_EQ(dsts.size(), 4u) << "one copy per peer";
+  EXPECT_EQ(traced, GetParam().span_sample > 0 ? 4u : 0u);
+  EXPECT_EQ(with_int, GetParam().int_sample == 2 ? 2u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sends, EwoFanout,
+                         ::testing::Values(Fanout{"plain", 0, 0}, Fanout{"traced", 1, 0},
+                                           Fanout{"int", 0, 2}),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace swish::shm

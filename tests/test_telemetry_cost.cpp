@@ -141,5 +141,57 @@ TEST(TelemetryCost, InbandSamplingAt1In64CostsASixtyFourthOfFullSampling) {
   }
 }
 
+/// Bumps the EWO counter named by the packet's UDP destination port.
+class PortCounter : public shm::NfApp {
+ public:
+  static constexpr std::uint32_t kSpace = 40;
+  void process(pisa::PacketContext& ctx, shm::ShmRuntime& rt) override {
+    if (ctx.parsed != nullptr && ctx.parsed->udp) {
+      rt.update(kSpace, ctx.parsed->udp->dst_port, 1, nullptr);
+    }
+  }
+};
+
+TEST(TelemetryCost, MirrorFlushAllocatesOnlyItsFrames) {
+  // A 16-entry mirror flush to 15 peers builds 15 frames, one allocation
+  // each: the first frame's encoding is copied into the other 14, and the
+  // message, peer list and event pools are reused from the warm-up flush.
+  constexpr std::size_t kSwitchCount = 16;
+  constexpr std::size_t kEntries = 16;
+  shm::FabricConfig cfg;
+  cfg.num_switches = kSwitchCount;
+  cfg.runtime.sync_period = 10 * kSec;  // no sync rounds
+  shm::Fabric fabric(cfg);
+  shm::SpaceConfig ctr;
+  ctr.id = PortCounter::kSpace;
+  ctr.name = "ctr";
+  ctr.cls = shm::ConsistencyClass::kEWO;
+  ctr.merge = shm::MergePolicy::kGCounter;
+  ctr.size = 64;
+  ctr.mirror_batch = kEntries;
+  fabric.add_space(ctr);
+  fabric.install([]() { return std::make_unique<PortCounter>(); });
+  fabric.start();
+
+  std::vector<pkt::Packet> writes;
+  for (std::uint16_t k = 0; k < kEntries; ++k) {
+    pkt::PacketSpec spec;
+    spec.ip_src = pkt::Ipv4Addr(1, 2, 3, 4);
+    spec.ip_dst = pkt::Ipv4Addr(9, 9, 9, 9);
+    spec.dst_port = k;
+    writes.push_back(pkt::build_packet(spec));
+  }
+  for (const pkt::Packet& p : writes) fabric.sw(0).inject(p);  // warm-up flush
+  fabric.run_for(1 * kMs);
+  for (std::size_t k = 0; k + 1 < kEntries; ++k) fabric.sw(0).inject(writes[k]);
+
+  const std::uint64_t sent_before = fabric.runtime(0).stats().ewo_updates_sent;
+  const std::uint64_t allocs_before = bench::total_allocs();
+  fabric.sw(0).inject(writes.back());  // the 16th write flushes
+  const std::uint64_t allocs = bench::total_allocs() - allocs_before;
+  EXPECT_EQ(fabric.runtime(0).stats().ewo_updates_sent - sent_before, kSwitchCount - 1);
+  EXPECT_EQ(allocs, kSwitchCount - 1);
+}
+
 }  // namespace
 }  // namespace swish
