@@ -45,31 +45,10 @@ RegisterArray& Switch::add_register_array(std::string name, std::size_t size,
   return static_cast<RegisterArray&>(*objects_.back());
 }
 
-CounterArray& Switch::add_counter_array(std::string name, std::size_t size) {
-  objects_.push_back(std::make_unique<CounterArray>(std::move(name), size));
-  return static_cast<CounterArray&>(*objects_.back());
-}
-
-MeterArray& Switch::add_meter_array(std::string name, std::size_t size,
-                                    MeterArray::Config config) {
-  objects_.push_back(std::make_unique<MeterArray>(std::move(name), size, config));
-  return static_cast<MeterArray&>(*objects_.back());
-}
-
 ExactTable& Switch::add_exact_table(std::string name, std::size_t capacity, unsigned key_bits,
                                     unsigned value_bits) {
   objects_.push_back(std::make_unique<ExactTable>(std::move(name), capacity, key_bits, value_bits));
   return static_cast<ExactTable&>(*objects_.back());
-}
-
-LpmTable& Switch::add_lpm_table(std::string name, std::size_t capacity) {
-  objects_.push_back(std::make_unique<LpmTable>(std::move(name), capacity));
-  return static_cast<LpmTable&>(*objects_.back());
-}
-
-TernaryTable& Switch::add_ternary_table(std::string name, std::size_t capacity) {
-  objects_.push_back(std::make_unique<TernaryTable>(std::move(name), capacity));
-  return static_cast<TernaryTable&>(*objects_.back());
 }
 
 std::size_t Switch::memory_bytes() const noexcept {
@@ -83,7 +62,6 @@ bool Switch::admit() {
   const TimeNs backlog = dp_free_time_ > now ? dp_free_time_ - now : 0;
   if (dp_per_packet_ > 0 && backlog > dp_backlog_limit_) {
     ++stats_.dropped_capacity;
-    tracer_.record(telemetry::kTraceDrop, id(), "dp_capacity_drop");
     return false;
   }
   dp_free_time_ = std::max(now, dp_free_time_) + dp_per_packet_;
@@ -135,7 +113,6 @@ void Switch::send_to_node(NodeId dst, pkt::Packet packet, std::uint64_t flow_has
   if (port == net::kInvalidPort) {
     SWISH_LOG_DEBUG("switch ", id(), ": no route to ", dst, ", dropping");
     ++stats_.dropped_noroute;
-    tracer_.record(telemetry::kTraceDrop, id(), "no_route_drop", dst);
     report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
     return;
   }
@@ -175,7 +152,6 @@ void Switch::deliver(pkt::Packet packet) {
 void Switch::recirculate(pkt::Packet packet, unsigned recirc_count) {
   if (recirc_count >= config_.max_recirculations) {
     ++stats_.dropped_recirc;
-    tracer_.record(telemetry::kTraceDrop, id(), "recirc_cap_drop", recirc_count);
     report_drop(telemetry::DropReason::kRecircCap, &packet, recirc_count);
     return;
   }
@@ -199,7 +175,6 @@ void Switch::multicast_nodes(std::span<const SwitchId> nodes, const pkt::Packet&
     if (port == net::kInvalidPort) {
       SWISH_LOG_DEBUG("switch ", id(), ": no route to ", dst, ", dropping");
       ++stats_.dropped_noroute;
-      tracer_.record(telemetry::kTraceDrop, id(), "no_route_drop", dst);
       report_drop(telemetry::DropReason::kNoRoute, &packet, dst);
       continue;
     }

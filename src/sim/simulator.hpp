@@ -177,6 +177,7 @@ class Simulator {
     tracer_.set_clock(&now_);
     observatory_.set_clock(&now_);
     drops_.set_clock(&now_);
+    drops_.set_tracer(&tracer_);
   }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

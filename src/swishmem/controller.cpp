@@ -42,8 +42,12 @@ void Controller::Config::validate() const {
   }
 }
 
-Controller::Controller(sim::Simulator& simulator, net::Network& network, NodeId id, Config config)
-    : net::Node(id), sim_(simulator), network_(network), config_(config) {
+Controller::Controller(sim::ShardSet& shards, net::Network& network, NodeId id, Config config)
+    : net::Node(id),
+      shards_(shards),
+      sim_(shards.sim_for(id)),
+      network_(network),
+      config_(config) {
   config_.validate();
   membership_ = make_membership(sim_, config_);
   membership_->on_membership_change = [this](SwitchId sw, MemberState state,
@@ -60,7 +64,7 @@ void Controller::post_to_node(NodeId node, TimeNs delay, sim::EventFn fn) {
     // Cross-shard delays are widened to the lookahead by the shard set; the
     // management latency (hundreds of µs) dominates any realistic lookahead,
     // so the widening never actually changes a timestamp here.
-    shards_->post_after_node(node, delay, std::move(fn));
+    shards_.post_after_node(node, delay, std::move(fn));
   } else {
     sim_.post_after(delay, std::move(fn));
   }
@@ -68,7 +72,7 @@ void Controller::post_to_node(NodeId node, TimeNs delay, sim::EventFn fn) {
 
 std::function<void()> Controller::to_controller(std::function<void()> fn) {
   if (!sharded()) return fn;
-  sim::ShardSet* shards = shards_;
+  sim::ShardSet* shards = &shards_;
   const NodeId me = id();
   return [shards, me, f = std::move(fn)]() { shards->post_after_node(me, 0, f); };
 }
@@ -189,10 +193,10 @@ void Controller::migrate_space(std::uint32_t space, std::vector<SwitchId> new_re
     auto self = weak_next.lock();
     if (sharded()) {
       auto resume = to_controller([self]() { if (self && *self) (*self)(); });
-      shards_->post_after_node(donor_id, 0,
-                               [donor, target, resume = std::move(resume), space]() {
-                                 donor->start_recovery_stream(target, resume, space);
-                               });
+      shards_.post_after_node(donor_id, 0,
+                              [donor, target, resume = std::move(resume), space]() {
+                                donor->start_recovery_stream(target, resume, space);
+                              });
     } else {
       donor->start_recovery_stream(
           target, [self]() { if (self && *self) (*self)(); }, space);

@@ -41,17 +41,15 @@ class Controller : public net::Node {
     void validate() const;
   };
 
-  /// Throws std::invalid_argument when the timing configuration is impossible
-  /// (non-positive periods, or a timeout the scan could never observe).
-  Controller(sim::Simulator& simulator, net::Network& network, NodeId id, Config config);
-
-  /// Binds the sharded simulation core (set by Fabric). With more than one
-  /// shard the controller routes every member-object call through the shard
-  /// set: config/chain pushes land on the member's shard, recovery-stream
+  /// Runs on the shard `shards` assigns to `id`. With more than one shard
+  /// the controller routes every member-object call through the shard set:
+  /// config/chain pushes land on the member's shard, recovery-stream
   /// kickoffs run on the donor's shard, and stream-completion callbacks hop
-  /// back to the controller's shard. Unset — or one shard — keeps the legacy
-  /// direct paths bit-for-bit.
-  void set_shard_set(sim::ShardSet* shards) noexcept { shards_ = shards; }
+  /// back to the controller's shard. One shard keeps the legacy direct paths
+  /// bit-for-bit. Throws std::invalid_argument when the timing configuration
+  /// is impossible (non-positive periods, or a timeout the scan could never
+  /// observe).
+  Controller(sim::ShardSet& shards, net::Network& network, NodeId id, Config config);
 
   /// Registers a switch and its runtime. Registration order defines the
   /// initial chain order (head first).
@@ -106,9 +104,7 @@ class Controller : public net::Node {
   /// `detection_ns` is the service-reported silence when the verdict landed.
   void handle_failure(SwitchId failed, TimeNs detection_ns);
 
-  [[nodiscard]] bool sharded() const noexcept {
-    return shards_ != nullptr && shards_->count() > 1;
-  }
+  [[nodiscard]] bool sharded() const noexcept { return shards_.count() > 1; }
 
   /// Runs `fn` after `delay` on the shard executing `node`'s events (the
   /// legacy sim_.post_after when unsharded — same event position, so a
@@ -145,9 +141,9 @@ class Controller : public net::Node {
     return membership_->view().usable(id);
   }
 
+  sim::ShardSet& shards_;
   sim::Simulator& sim_;
   net::Network& network_;
-  sim::ShardSet* shards_ = nullptr;
   Config config_;
   std::unique_ptr<MembershipService> membership_;
   std::map<SwitchId, Member> members_;  // ordered => deterministic chain order

@@ -113,9 +113,7 @@ Fabric::Fabric(FabricConfig config)
     }
   }
 
-  controller_ =
-      std::make_unique<Controller>(shards_.sim(0), net_, kControllerId, config_.controller);
-  controller_->set_shard_set(&shards_);
+  controller_ = std::make_unique<Controller>(shards_, net_, kControllerId, config_.controller);
   net_.attach(*controller_);
   // The controller has a (lossy, in-band) link to every switch, so losing any
   // one switch cannot partition it from the rest of the fabric — standard
@@ -187,7 +185,7 @@ void Fabric::revive_switch(std::size_t i) {
 
 void Fabric::inject(std::size_t i, pkt::Packet packet) {
   pisa::Switch& sw = *switches_.at(i);
-  if (shards_.count() == 1 || shards_.shard_of(sw.id()) == 0) {
+  if (shards_.shard_of(sw.id()) == 0) {
     sw.inject(std::move(packet));
     return;
   }
@@ -268,6 +266,18 @@ std::vector<telemetry::IntSinkReport> Fabric::all_int_reports() const {
     parts.push_back(shards_.sim(k).int_log().records());
   }
   return telemetry::merge_canonical(std::move(parts));
+}
+
+std::vector<telemetry::TraceEvent> Fabric::all_trace_events() const {
+  std::vector<std::vector<telemetry::TraceEvent>> parts;
+  for (std::size_t k = 0; k < shards_.count(); ++k) {
+    parts.push_back(shards_.sim(k).tracer().events());
+  }
+  return telemetry::merge_canonical(std::move(parts));
+}
+
+void Fabric::enable_trace(std::uint32_t mask) {
+  for (std::size_t k = 0; k < shards_.count(); ++k) shards_.sim(k).tracer().enable(mask);
 }
 
 void Fabric::enable_observatory() {

@@ -133,9 +133,9 @@ class Fabric {
     return shards_.merged_metrics_snapshot();
   }
 
-  // Per-node records (spans, drops, INT reports) gather through
-  // telemetry::merge_canonical in (time, node, seq) order: identical at
-  // every shard count, because each node records single-writer.
+  // Per-node records (spans, drops, INT reports, flight-recorder events)
+  // gather through telemetry::merge_canonical in (time, node, seq) order:
+  // identical at every shard count, because each node records single-writer.
 
   /// All recorded causal spans of every switch's recorder.
   [[nodiscard]] std::vector<telemetry::Span> all_spans() const;
@@ -157,6 +157,13 @@ class Fabric {
 
   /// All retained INT sink reports across shards.
   [[nodiscard]] std::vector<telemetry::IntSinkReport> all_int_reports() const;
+
+  /// All retained flight-recorder events across shards.
+  [[nodiscard]] std::vector<telemetry::TraceEvent> all_trace_events() const;
+
+  /// Enables the flight-recorder categories in `mask` on every shard's
+  /// tracer (telemetry::TraceCategory bits; 0 disables recording).
+  void enable_trace(std::uint32_t mask);
 
   /// Enables span sampling on every switch's recorder: 1 in `sample_every`
   /// roots per switch, at most `max_spans` retained per switch.

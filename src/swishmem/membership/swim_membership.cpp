@@ -9,6 +9,16 @@
 #include "telemetry/trace.hpp"
 
 namespace swish::shm {
+namespace {
+
+constexpr TimeNs kPeriod = 10 * kMs;             ///< protocol period (one probe per tick)
+constexpr TimeNs kPingTimeout = 2 * kMs;         ///< direct-ack wait before indirection
+constexpr TimeNs kSuspicionTimeout = 40 * kMs;   ///< suspect -> faulty grace (refutation window)
+constexpr std::size_t kIndirectK = 2;            ///< ping-req proxies per failed direct probe
+constexpr std::size_t kGossipFanout = 3;         ///< piggybacked entries per protocol message
+constexpr unsigned kGossipTransmissions = 8;     ///< dissemination GC: sends per gossip entry
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SwimMembership: the controller-side passive aggregator
@@ -115,8 +125,7 @@ void SwimAgent::start() {
   // The tick is a gated control-plane job: a failed switch's timer keeps
   // firing but does nothing, so the agent falls silent with the switch and
   // resumes (without rearming) after recover().
-  tick_timer_ = host_.sw().control_plane().schedule_periodic(host_.config().swim_period,
-                                                             [this]() { tick(); });
+  tick_timer_ = host_.sw().control_plane().schedule_periodic(kPeriod, [this]() { tick(); });
 }
 
 void SwimAgent::reset() {
@@ -198,8 +207,7 @@ void SwimAgent::send_ping(SwitchId target) {
                                  take_gossip()});
   const std::uint64_t seq = probe_seq_;
   host_.sw().control_plane().schedule_after(
-      host_.config().swim_ping_timeout,
-      [this, target, seq]() { on_probe_timeout(target, seq); });
+      kPingTimeout, [this, target, seq]() { on_probe_timeout(target, seq); });
 }
 
 void SwimAgent::on_probe_timeout(SwitchId target, std::uint64_t seq) {
@@ -227,8 +235,7 @@ void SwimAgent::on_probe_timeout(SwitchId target, std::uint64_t seq) {
     send_msg(proxy, pkt::SwimPingReq{host_.self(), target, seq, take_gossip()});
   }
   host_.sw().control_plane().schedule_after(
-      host_.config().swim_ping_timeout,
-      [this, target, seq]() { on_indirect_timeout(target, seq); });
+      kPingTimeout, [this, target, seq]() { on_indirect_timeout(target, seq); });
 }
 
 void SwimAgent::on_indirect_timeout(SwitchId target, std::uint64_t seq) {
@@ -258,8 +265,7 @@ void SwimAgent::arm_suspicion_timer(SwitchId id) {
   // O(log n) gossip rounds, so a fixed window that is comfortable at 8
   // switches is a coin flip at 64.
   const TimeNs window =
-      std::max(host_.config().swim_suspicion_timeout,
-               host_.config().swim_period * static_cast<TimeNs>(std::bit_width(peers_.size())));
+      std::max(kSuspicionTimeout, kPeriod * static_cast<TimeNs>(std::bit_width(peers_.size())));
   p.suspicion_timer = host_.sw().control_plane().schedule_after(
       window, [this, id, inc]() {
         const Peer& q = peers_.at(id);
@@ -429,14 +435,13 @@ void SwimAgent::enqueue_gossip(const pkt::MemberInfo& info) {
       break;
     }
   }
-  gossip_.push_back(GossipItem{info, std::max(1u, host_.config().swim_gossip_transmissions)});
+  gossip_.push_back(GossipItem{info, kGossipTransmissions});
 }
 
 std::size_t SwimAgent::gossip_fanout() const {
-  // The configured fanout is a floor; the piggyback capacity must grow with
+  // The fixed fanout is a floor; the piggyback capacity must grow with
   // log(n) or concurrent rumors at scale starve each other of slots.
-  return std::max<std::size_t>(host_.config().swim_gossip_fanout,
-                               std::bit_width(peers_.size()));
+  return std::max<std::size_t>(kGossipFanout, std::bit_width(peers_.size()));
 }
 
 std::vector<pkt::MemberInfo> SwimAgent::take_gossip() {
@@ -467,7 +472,7 @@ std::vector<SwitchId> SwimAgent::pick_proxies(SwitchId exclude) {
   for (const auto& [id, p] : peers_) {
     if (id != exclude && p.state == MemberState::kAlive) candidates.push_back(id);
   }
-  const std::size_t k = std::min(candidates.size(), host_.config().swim_indirect_k);
+  const std::size_t k = std::min(candidates.size(), kIndirectK);
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j =
         i + static_cast<std::size_t>(rng_.next_below(candidates.size() - i));

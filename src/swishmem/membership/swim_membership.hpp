@@ -2,16 +2,19 @@
 // control planes, as the ROADMAP item 2 alternative to the central heartbeat
 // scan. Detection is entirely switch-to-switch over the lossy data network:
 //
-//  - every swim_period each switch probes the next member of a shuffled ring
-//    (SwimPing) and expects a SwimAck within swim_ping_timeout;
-//  - a missed ack triggers indirection: swim_indirect_k proxies are asked
-//    (SwimPingReq) to probe the target on the origin's behalf, separating a
-//    dead member from a bad origin<->target path;
+//  - every protocol period (10 ms) each switch probes the next member of a
+//    shuffled ring (SwimPing) and expects a SwimAck within 2 ms;
+//  - a missed ack triggers indirection: two proxies are asked (SwimPingReq)
+//    to probe the target on the origin's behalf, separating a dead member
+//    from a bad origin<->target path;
 //  - a member that fails both rounds becomes *suspect*, gossiped as such, and
-//    is only committed to *faulty* after swim_suspicion_timeout — giving it
-//    time to refute the rumor by bumping its incarnation number;
+//    is only committed to *faulty* after a suspicion timeout (40 ms, or more
+//    on large fabrics) — giving it time to refute the rumor by bumping its
+//    incarnation number;
 //  - membership assertions piggyback on all SWIM traffic (anti-entropy
-//    dissemination), each retransmitted swim_gossip_transmissions times.
+//    dissemination), each retransmitted 8 times.
+//
+// These timings are named constants in swim_membership.cpp.
 //
 // The controller never participates: its SwimMembership service is a passive
 // aggregator that receives finished faulty verdicts (MembershipUpdate) from

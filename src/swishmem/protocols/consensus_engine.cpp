@@ -9,6 +9,20 @@ namespace {
 /// the burst when back-filling a freshly revived (empty) replica.
 constexpr std::size_t kRepairChunk = 64;
 
+/// Read-lease duration refreshed by each accept/learn a replica receives
+/// from the current-ballot coordinator. A fresh lease lets the replica
+/// answer reads locally with BOUNDED STALENESS — the coordinator commits on
+/// any majority, so a lease holder outside the commit quorum can miss writes
+/// whose learn is still in flight (or was lost), lagging the commit point by
+/// up to the lease duration. This is not a linearizable quorum read; after
+/// expiry reads redirect to the coordinator, whose applied prefix is
+/// authoritative.
+constexpr TimeNs kConLease = 10 * kMs;
+
+/// Operations buffered at a follower while the coordinator is unknown or a
+/// forward is in flight; excess writes are rejected.
+constexpr std::size_t kConQueueLimit = 1024;
+
 /// Ballot = (group epoch << 32) | (coordinator id + 1): monotone across
 /// epochs, unique per coordinator, and never 0 (0 is the "nothing promised"
 /// floor). The low half names the ballot's owner for reply routing.
@@ -277,7 +291,7 @@ void ConsensusEngine::finish_election() {
 void ConsensusEngine::write(std::vector<pkt::WriteOp> ops, pkt::Packet output,
                             WriteRelease release) {
   ++stats_.writes_submitted;
-  if (pending_.size() >= host_.config().con_queue_limit) {
+  if (pending_.size() >= kConQueueLimit) {
     ++stats_.writes_rejected;
     host_.report_drop(telemetry::DropReason::kConQueueOverflow, ops.front().key);
     return;
@@ -426,7 +440,7 @@ void ConsensusEngine::repair_tick() {
     const std::uint64_t pa = peer_applied_[m];
     if (pa >= committed_upto_) {
       auto lit = log_.find(committed_upto_);
-      if (host_.config().con_lease != 0 && lit != log_.end()) {
+      if (lit != log_.end()) {
         ++stats_.lease_renewals;
         deliver(m, pkt::ConLearn{epoch(), ballot_, committed_upto_, committed_upto_,
                                  lit->second.writer, lit->second.req_id, lit->second.ops});
@@ -449,9 +463,7 @@ void ConsensusEngine::repair_tick() {
 // ---------------------------------------------------------------------------
 
 void ConsensusEngine::refresh_lease(std::uint64_t ballot) {
-  const TimeNs lease = host_.config().con_lease;
-  if (lease == 0) return;
-  lease_expiry_ = host_.sw().simulator().now() + lease;
+  lease_expiry_ = host_.sw().simulator().now() + kConLease;
   lease_ballot_ = std::max(lease_ballot_, ballot);
 }
 

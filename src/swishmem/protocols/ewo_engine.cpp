@@ -7,6 +7,12 @@
 #include "swishmem/version.hpp"
 
 namespace swish::shm {
+namespace {
+
+/// Registers per periodic-sync packet.
+constexpr std::size_t kSyncChunkEntries = 64;
+
+}  // namespace
 
 EwoEngine::EwoEngine(ShmRuntime& host)
     : ProtocolEngine(host), rng_(0xe40 ^ (host.self() * 0x9e3779b9ULL)) {
@@ -269,13 +275,12 @@ void EwoEngine::periodic_sync() {
   const telemetry::SpanContext sync_trace = trace_root("ewo_sync");
   ActiveTraceScope scope(host_, sync_trace.sampled() ? sync_trace : host_.active_trace());
 
-  const std::size_t chunk = host_.config().sync_chunk_entries;
   pkt::SwishMessage msg(std::in_place_type<pkt::EwoUpdate>);
   auto& update = std::get<pkt::EwoUpdate>(msg);
   update.origin = host_.self();
   update.periodic = true;
-  for (std::size_t off = 0; off < all.size(); off += chunk) {
-    const std::size_t end = std::min(off + chunk, all.size());
+  for (std::size_t off = 0; off < all.size(); off += kSyncChunkEntries) {
+    const std::size_t end = std::min(off + kSyncChunkEntries, all.size());
     update.entries.assign(all.begin() + static_cast<std::ptrdiff_t>(off),
                           all.begin() + static_cast<std::ptrdiff_t>(end));
     if (host_.config().sync_fanout == SyncFanout::kRandomOne) {

@@ -6,6 +6,19 @@
 #include "swishmem/runtime.hpp"
 
 namespace swish::shm {
+namespace {
+
+/// Owner -> home dirty-key backup flush period.
+constexpr TimeNs kBackupInterval = 1 * kMs;
+
+/// Entries per backup packet.
+constexpr std::size_t kBackupChunk = 64;
+
+/// Operations buffered per key while an ownership migration is in flight;
+/// excess operations are rejected (their callbacks never fire).
+constexpr std::size_t kQueueLimit = 1024;
+
+}  // namespace
 
 OwnerEngine::OwnerEngine(ShmRuntime& host)
     : ProtocolEngine(host),
@@ -44,7 +57,7 @@ bool OwnerEngine::hosts_space(std::uint32_t space) const noexcept {
 }
 
 void OwnerEngine::start() {
-  host_.every(host_.config().own_backup_interval, [this]() { backup_flush(); });
+  host_.every(kBackupInterval, [this]() { backup_flush(); });
 }
 
 void OwnerEngine::reset() {
@@ -232,7 +245,7 @@ void OwnerEngine::apply_or_acquire(std::uint32_t space, std::uint64_t key, Queue
     if (pending == nullptr) return;  // acquisition not startable
   }
   std::vector<QueuedOp>& queue = pending->payload.queue;
-  if (queue.size() >= host_.config().own_queue_limit) {
+  if (queue.size() >= kQueueLimit) {
     ++stats_.queue_rejected;
     host_.report_drop(telemetry::DropReason::kOwnQueueOverflow, key);
     return;  // dropped; the op's callbacks never fire
@@ -373,14 +386,13 @@ void OwnerEngine::send_backup_entries(std::uint32_t space, const OwnSpaceState& 
     by_home[home_of(space, slot)].push_back(
         {space, slot, st.version(slot), st.value(slot)});
   }
-  const std::size_t chunk = host_.config().own_backup_chunk;
   for (auto& [home, entries] : by_home) {
     if (home == host_.self()) continue;  // backup of self-homed keys is the copy itself
-    for (std::size_t off = 0; off < entries.size(); off += chunk) {
+    for (std::size_t off = 0; off < entries.size(); off += kBackupChunk) {
       pkt::OwnUpdate update;
       update.owner = host_.self();
       update.claim = true;
-      const std::size_t end = std::min(off + chunk, entries.size());
+      const std::size_t end = std::min(off + kBackupChunk, entries.size());
       update.entries.assign(entries.begin() + static_cast<std::ptrdiff_t>(off),
                             entries.begin() + static_cast<std::ptrdiff_t>(end));
       stats_.backup_entries_sent += update.entries.size();

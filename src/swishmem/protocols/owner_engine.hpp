@@ -34,7 +34,7 @@ class OwnerEngine final : public ProtocolEngine {
     telemetry::Counter acquisition_retries;
     telemetry::Counter revokes_served;     ///< ownership relinquished
     telemetry::Counter grants_issued;      ///< grants sent by this home
-    telemetry::Counter queue_rejected;     ///< ops dropped at own_queue_limit
+    telemetry::Counter queue_rejected;     ///< ops dropped at the per-key queue limit
     telemetry::Counter backup_entries_sent;
     telemetry::Counter backup_entries_merged;
     telemetry::Counter bytes;  ///< OwnRequest + OwnGrant + OwnUpdate

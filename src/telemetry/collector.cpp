@@ -12,6 +12,32 @@
 #include <string_view>
 
 namespace swish::telemetry {
+namespace {
+
+// Anomaly-detector tuning. Deliberately conservative: a flag should mean
+// "look at this switch/link", not "the p99 moved".
+
+/// Drop spike: bucket width of the per-switch drop-rate windows; flag a
+/// switch when its busiest window holds more than kDropSpikeFactor x the
+/// mean per-window drop count AND at least kDropSpikeMin drops.
+constexpr TimeNs kDropSpikeWindow = 10 * kMs;
+constexpr double kDropSpikeFactor = 8.0;
+constexpr std::uint64_t kDropSpikeMin = 32;
+
+/// Queue growth: flag a switch when the mean queue depth over the late half
+/// of the run exceeds kQueueGrowthFactor x the early-half mean AND the late
+/// mean is at least kQueueGrowthMinDepth packets (filters noise around zero).
+constexpr double kQueueGrowthFactor = 4.0;
+constexpr double kQueueGrowthMinDepth = 16.0;
+constexpr std::size_t kQueueGrowthMinSamples = 8;
+
+/// Asymmetric link: flag a switch pair when both directions have at least
+/// kAsymMinSamples hop-latency samples and the p50s differ by more than
+/// kAsymRatio x.
+constexpr double kAsymRatio = 4.0;
+constexpr std::uint64_t kAsymMinSamples = 16;
+
+}  // namespace
 
 const char* to_string(AnomalyFlag::Kind kind) noexcept {
   switch (kind) {
@@ -41,7 +67,7 @@ double slo_burn_fraction(const Histogram& hist, std::uint64_t target) noexcept {
   return 1.0 - 0.5 * (lo + hi);
 }
 
-HealthCollector::HealthCollector(CollectorConfig config) : config_(config) {
+HealthCollector::HealthCollector() {
   // Default propagation SLO targets per consistency class: single-writer and
   // quorum classes are expected to land within a round trip or two; the
   // eventual classes get budgets matching their periodic-sync cadence.
@@ -185,7 +211,7 @@ void HealthCollector::finalize() {
 
 void HealthCollector::detect_queue_growth() {
   for (const auto& [node, series] : queue_series_) {
-    if (series.size() < config_.queue_growth_min_samples) continue;
+    if (series.size() < kQueueGrowthMinSamples) continue;
     const TimeNs t0 = series.front().first;
     const TimeNs t1 = series.back().first;
     if (t1 <= t0) continue;
@@ -197,8 +223,7 @@ void HealthCollector::detect_queue_growth() {
     }
     if (early.count() == 0 || late.count() == 0) continue;
     const double base = std::max(1.0, early.mean());
-    if (late.mean() < config_.queue_growth_factor * base ||
-        late.mean() < config_.queue_growth_min_depth) {
+    if (late.mean() < kQueueGrowthFactor * base || late.mean() < kQueueGrowthMinDepth) {
       continue;
     }
     AnomalyFlag f;
@@ -217,13 +242,11 @@ void HealthCollector::detect_asym_links() {
     const auto rit = link_ns_.find({key.second, key.first});
     if (rit == link_ns_.end()) continue;
     const Histogram& rev = rit->second;
-    if (fwd.count() < config_.asym_min_samples || rev.count() < config_.asym_min_samples) {
-      continue;
-    }
+    if (fwd.count() < kAsymMinSamples || rev.count() < kAsymMinSamples) continue;
     const double pf = static_cast<double>(std::max<std::uint64_t>(1, fwd.p50()));
     const double pr = static_cast<double>(std::max<std::uint64_t>(1, rev.p50()));
     const double ratio = std::max(pf, pr) / std::min(pf, pr);
-    if (ratio < config_.asym_ratio) continue;
+    if (ratio < kAsymRatio) continue;
     AnomalyFlag f;
     f.kind = AnomalyFlag::Kind::kAsymLink;
     f.a = key.first;
@@ -237,7 +260,7 @@ void HealthCollector::detect_asym_links() {
 
 void HealthCollector::detect_drop_spikes() {
   if (!observed_any_) return;
-  const TimeNs w = std::max<TimeNs>(1, config_.window);
+  const TimeNs w = kDropSpikeWindow;
   // Rate baseline over the whole observed run, so a single burst still
   // stands out against the quiet remainder.
   const auto num_windows = static_cast<std::uint64_t>((observed_max_ - observed_min_) / w) + 1;
@@ -248,8 +271,7 @@ void HealthCollector::detect_drop_spikes() {
     std::uint64_t peak = 0;
     for (const auto& [idx, n] : buckets) peak = std::max(peak, n);
     const double mean = static_cast<double>(times.size()) / static_cast<double>(num_windows);
-    if (peak < config_.drop_spike_min ||
-        static_cast<double>(peak) < config_.drop_spike_factor * mean) {
+    if (peak < kDropSpikeMin || static_cast<double>(peak) < kDropSpikeFactor * mean) {
       continue;
     }
     AnomalyFlag f;
@@ -524,32 +546,6 @@ void print_rows(std::ostream& os, HealthRows rows) {
     if (a.b != 0) os << " <-> " << a.b;
     os << ": severity " << format_double(a.severity, 1) << " -- " << a.detail << "\n";
   }
-}
-
-/// Minimal line-oriented JSON field extraction (same contract as the
-/// read_perfetto parser: one object per line, flat fields).
-std::string_view raw_field(std::string_view line, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return {};
-  auto start = pos + needle.size();
-  auto end = start;
-  if (end < line.size() && line[end] == '"') {  // string value
-    ++start;
-    end = line.find('"', start);
-    if (end == std::string_view::npos) return {};
-    return line.substr(start, end - start);
-  }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
-}
-
-std::uint64_t u64_field(std::string_view line, std::string_view key) {
-  const std::string_view raw = raw_field(line, key);
-  if (raw.empty()) return 0;
-  return std::strtoull(std::string(raw).c_str(), nullptr, 10);
 }
 
 double dbl_field(std::string_view line, std::string_view key) {

@@ -40,31 +40,6 @@
 
 namespace swish::telemetry {
 
-/// Tuning for the anomaly detectors. Defaults are deliberately conservative:
-/// a flag should mean "look at this switch/link", not "the p99 moved".
-struct CollectorConfig {
-  /// Bucket width for the drop-spike detector's event-rate windows.
-  TimeNs window = 10 * kMs;
-
-  /// Queue growth: flag a switch when the mean queue depth over the late
-  /// half of the run exceeds `factor` x the early-half mean AND the late
-  /// mean is at least `min_depth` packets (filters noise around zero).
-  double queue_growth_factor = 4.0;
-  double queue_growth_min_depth = 16.0;
-  std::size_t queue_growth_min_samples = 8;
-
-  /// Asymmetric link: flag a switch pair when both directions have at least
-  /// `min_samples` hop-latency samples and the p50s differ by more than
-  /// `ratio` x.
-  double asym_ratio = 4.0;
-  std::uint64_t asym_min_samples = 16;
-
-  /// Drop spike: flag a switch when its busiest drop window holds more than
-  /// `factor` x the mean per-window drop count AND at least `min` drops.
-  double drop_spike_factor = 8.0;
-  std::uint64_t drop_spike_min = 32;
-};
-
 /// Hop latency over one directed link, from consecutive INT hop records:
 /// next.ingress_ts - prev.egress_ts (serialization + queueing + propagation).
 struct LinkHealth {
@@ -117,7 +92,7 @@ const char* to_string(AnomalyFlag::Kind kind) noexcept;
 /// deterministic.
 class HealthCollector {
  public:
-  explicit HealthCollector(CollectorConfig config = {});
+  HealthCollector();
 
   /// Overrides the propagation SLO target for one consistency class (the
   /// constructor installs defaults for SRO/ERO/EWO/OWN/CON).
@@ -182,7 +157,6 @@ class HealthCollector {
   void detect_asym_links();
   void detect_drop_spikes();
 
-  CollectorConfig config_;
   bool finalized_ = false;
 
   // Raw accumulation.

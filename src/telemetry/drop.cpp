@@ -1,5 +1,7 @@
 #include "telemetry/drop.hpp"
 
+#include "telemetry/trace.hpp"
+
 namespace swish::telemetry {
 
 const char* to_string(DropReason reason) noexcept {
@@ -25,6 +27,9 @@ const char* to_string(DropReason reason) noexcept {
 void DropRing::record(NodeId node, DropReason reason, std::uint32_t packet_bytes,
                       std::uint64_t detail, std::vector<IntHop> hops) {
   ++counts_[node][static_cast<std::size_t>(reason)];
+  if (tracer_ != nullptr) {
+    tracer_->record(kTraceDrop, node, to_string(reason), detail, packet_bytes);
+  }
   DropRecord rec;
   rec.time = now_ != nullptr ? *now_ : 0;
   rec.node = node;

@@ -6,12 +6,15 @@
 //    reaches its destination switch, the accumulated per-hop stack (switch
 //    id, ingress/egress timestamps, queue depth, rule hit) is peeled off the
 //    wire and recorded here.
-//  - DropRing: mirror-on-drop. Every drop site in the fabric — link queue
-//    overflow, on-wire loss, dead-node blackhole, missing route, data-plane
-//    capacity, recirculation cap, protocol parse errors, engine rejects,
-//    quorum-unreachable consensus writes, NF discards — records a typed
-//    DropRecord carrying whatever INT stack the dropped packet had
-//    accumulated, so any loss is attributable to an exact hop and cause.
+//  - DropRing: mirror-on-drop, the one place a drop is reported. Every drop
+//    site in the fabric — link queue overflow, on-wire loss, dead-node
+//    blackhole, missing route, data-plane capacity, recirculation cap,
+//    protocol parse errors, engine rejects, quorum-unreachable consensus
+//    writes, NF discards — records a typed DropRecord carrying whatever INT
+//    stack the dropped packet had accumulated, so any loss is attributable
+//    to an exact hop and cause. The same call writes the flight recorder's
+//    drop event (kTraceDrop, labelled by the DropReason), so the recorder
+//    and the drop log count every drop exactly once.
 //
 // Both keep their records in a telemetry::NodeLog (node_log.hpp): per-node
 // rings with per-node seqs, gathered across shards by merge_canonical.
@@ -26,6 +29,8 @@
 #include "telemetry/node_log.hpp"
 
 namespace swish::telemetry {
+
+class Tracer;
 
 /// One INT hop record: what one switch contributed while forwarding the
 /// packet. rule_hit is the egress port + 1 (0 = local delivery / none), the
@@ -102,6 +107,9 @@ class DropRing {
   explicit DropRing(std::size_t records_per_node = kDefaultCapacity) : log_(records_per_node) {}
 
   void set_clock(const TimeNs* now) noexcept { now_ = now; }
+  /// Where record() writes each drop's kTraceDrop event (the simulator's own
+  /// tracer): a = detail, b = packet bytes.
+  void set_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
 
   void record(NodeId node, DropReason reason, std::uint32_t packet_bytes,
               std::uint64_t detail, std::vector<IntHop> hops = {});
@@ -117,6 +125,7 @@ class DropRing {
 
  private:
   const TimeNs* now_ = nullptr;
+  Tracer* tracer_ = nullptr;
   NodeLog<DropRecord> log_;
   std::map<NodeId, std::array<std::uint64_t, kNumDropReasons>> counts_;
 };

@@ -98,9 +98,6 @@ void write_perfetto(std::ostream& os, const std::vector<Span>& spans,
   os << "\n]}\n";
 }
 
-namespace {
-
-/// Returns the raw text of a JSON field value, or empty when absent.
 std::string_view raw_field(std::string_view line, std::string_view key) {
   std::string needle = "\"";
   needle += key;
@@ -124,6 +121,8 @@ std::uint64_t u64_field(std::string_view line, std::string_view key) {
   if (raw.empty()) return 0;
   return std::strtoull(std::string(raw).c_str(), nullptr, 10);
 }
+
+namespace {
 
 TimeNs ns_field(std::string_view line, std::string_view key) {
   const std::string_view raw = raw_field(line, key);

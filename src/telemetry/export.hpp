@@ -12,6 +12,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -51,6 +52,14 @@ void write_perfetto(std::ostream& os, const std::vector<Span>& spans,
 /// names are interned into static storage. Throws std::runtime_error on
 /// malformed input.
 std::vector<Span> read_perfetto(std::istream& is);
+
+/// The line-JSON field reader behind read_perfetto and print_health_report
+/// (one object per line, flat fields): the raw text of `key`'s value, without
+/// quotes for a string, or empty when the key is absent.
+std::string_view raw_field(std::string_view line, std::string_view key);
+
+/// raw_field as a decimal u64; 0 when the key is absent.
+std::uint64_t u64_field(std::string_view line, std::string_view key);
 
 /// One stitched causal chain: everything recorded under a single trace id.
 struct TraceSummary {

@@ -1,9 +1,10 @@
 // Per-node telemetry records: one retention mechanism and one merge order.
 //
 // Every per-node record the fabric produces — mirror-on-drop records, INT
-// sink reports, causal spans — carries a (time, node, seq) identity where
-// seq is dense per node in that node's recording order. Each node lives on
-// exactly one shard and records single-writer in simulation order, so the
+// sink reports, causal spans, flight-recorder events — carries a
+// (time, node, seq) identity where seq is dense per node in that node's
+// recording order. Each node lives on exactly one shard and records
+// single-writer in simulation order, so the
 // identity is a pure function of the node's own event stream: gathering the
 // per-shard (or per-switch) sources and sorting by it yields the same
 // canonical stream at every shard count. merge_canonical is that sort;
@@ -48,6 +49,8 @@ class NodeLog {
     ring.records.push_back(std::move(rec));
     if (ring.records.size() > capacity_) ring.records.pop_front();
   }
+
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Retained records, nodes ascending and per-node recording order.
   [[nodiscard]] std::vector<Record> records() const {

@@ -75,55 +75,21 @@ std::string trace_category_list() {
   return out;
 }
 
-void Tracer::enable(std::uint32_t mask, std::size_t capacity) {
-  mask_ = mask;
-  if (mask_ != 0 && ring_.size() != capacity) {
-    ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
-    head_ = 0;
-    recorded_ = 0;
-  }
-}
-
-void Tracer::record_slow(TraceCategory cat, NodeId node, const char* what, std::uint64_t a,
-                         std::uint64_t b) noexcept {
-  if (ring_.empty()) return;
-  TraceEvent& slot = ring_[head_];
-  slot.time = now_ ? *now_ : 0;
-  slot.category = cat;
-  slot.node = node;
-  slot.what = what;
-  slot.a = a;
-  slot.b = b;
-  head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  ++recorded_;
-}
-
-std::size_t Tracer::size() const noexcept {
-  return recorded_ < ring_.size() ? static_cast<std::size_t>(recorded_) : ring_.size();
-}
-
-std::vector<TraceEvent> Tracer::events() const {
-  std::vector<TraceEvent> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  // Oldest event: at 0 before wraparound, at head_ after.
-  const std::size_t start = recorded_ <= ring_.size() ? 0 : head_;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void Tracer::dump(std::ostream& os) const {
-  for (const TraceEvent& e : events()) {
+void write_trace(std::ostream& os, const std::vector<TraceEvent>& events) {
+  for (const TraceEvent& e : events) {
     os << e.time << ' ' << category_name(e.category) << " n" << e.node << ' ' << e.what
        << " a=" << e.a << " b=" << e.b << '\n';
   }
 }
 
-void Tracer::clear() noexcept {
-  head_ = 0;
-  recorded_ = 0;
+void Tracer::enable(std::uint32_t mask, std::size_t capacity) {
+  mask_ = mask;
+  if (mask_ != 0 && log_.capacity() != capacity) log_ = NodeLog<TraceEvent>(capacity);
+}
+
+void Tracer::record_slow(TraceCategory cat, NodeId node, const char* what, std::uint64_t a,
+                         std::uint64_t b) {
+  log_.append(node, TraceEvent{now_ != nullptr ? *now_ : 0, cat, node, what, a, b});
 }
 
 }  // namespace swish::telemetry

@@ -1,9 +1,12 @@
-// Virtual-time flight recorder: a bounded ring buffer of simulation events
-// (packet in/out, drop, recirculation, protocol message by class, ownership
-// migration, failover) with per-category enable masks. The hot-path guard is
-// a single mask load + branch, and the ring is only allocated on first
-// enable, so a disabled tracer costs (near) nothing — both properties are
-// regression-tested in test_telemetry.cpp.
+// Virtual-time flight recorder: simulation events (packet in/out, drop,
+// recirculation, protocol message by class, ownership migration, failover)
+// with per-category enable masks. Events are per-node records in a
+// telemetry::NodeLog, like drop records, INT reports and spans: each node
+// keeps its newest `capacity` events, and Fabric::all_trace_events gathers
+// every shard's tracer in canonical (time, node, seq) order. The hot-path
+// guard is a single mask load + branch, and nothing is allocated until an
+// enabled category records, so a disabled tracer costs (near) nothing —
+// both properties are regression-tested in test_telemetry.cpp.
 #pragma once
 
 #include <cstddef>
@@ -15,13 +18,14 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "telemetry/node_log.hpp"
 
 namespace swish::telemetry {
 
 /// Event categories, combinable as a bitmask.
 enum TraceCategory : std::uint32_t {
   kTracePacket = 1u << 0,        ///< packet admitted / delivered / sent by a switch
-  kTraceDrop = 1u << 1,          ///< any packet drop (queue, loss, capacity, recirc cap)
+  kTraceDrop = 1u << 1,          ///< every DropRing record, labelled by its DropReason
   kTraceRecirc = 1u << 2,        ///< pipeline recirculation
   kTraceProtoChain = 1u << 3,    ///< SRO/ERO chain messages (write req/fwd/ack/release)
   kTraceProtoEwo = 1u << 4,      ///< EWO update broadcast / apply
@@ -44,7 +48,10 @@ struct TraceEvent {
   const char* what = "";
   std::uint64_t a = 0;  ///< event-specific (key, space, peer id, ...)
   std::uint64_t b = 0;  ///< event-specific (bytes, seq, port, ...)
+  std::uint64_t seq = 0;  ///< per-node event index (dense from 1)
 };
+
+inline RecordKey record_key(const TraceEvent& e) noexcept { return {e.time, e.node, e.seq}; }
 
 /// Parses a comma-separated category list ("packet,drop,proto-chain", or
 /// "all") into a mask. Returns nullopt on any unknown name.
@@ -56,22 +63,28 @@ std::string trace_mask_to_string(std::uint32_t mask);
 /// Every valid category name, comma-separated (CLI help and error text).
 std::string trace_category_list();
 
+/// Writes events one text line each, in the order given:
+///   <time> <category> n<node> <what> a=<a> b=<b>
+void write_trace(std::ostream& os, const std::vector<TraceEvent>& events);
+
 /// The flight recorder. Owned by sim::Simulator next to the MetricsRegistry.
 class Tracer {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1u << 16;
+  /// Events retained per node (the DropRing default).
+  static constexpr std::size_t kDefaultCapacity = 4096;
 
-  /// Enables the categories in `mask` (replacing the current mask) and
-  /// allocates the ring on first enable. `enable(0)` disables recording.
+  /// Enables the categories in `mask` (replacing the current mask); each
+  /// node keeps its newest `capacity` events. A new capacity starts an empty
+  /// log. `enable(0)` disables recording and keeps what was recorded.
   void enable(std::uint32_t mask, std::size_t capacity = kDefaultCapacity);
 
   [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
   [[nodiscard]] bool enabled(TraceCategory cat) const noexcept { return (mask_ & cat) != 0; }
 
   /// Hot-path record. When the category is masked off this is one load and
-  /// one predictable branch; no allocation ever happens here.
+  /// one predictable branch, and nothing is allocated.
   void record(TraceCategory cat, NodeId node, const char* what, std::uint64_t a = 0,
-              std::uint64_t b = 0) noexcept {
+              std::uint64_t b = 0) {
     if ((mask_ & cat) == 0) return;
     record_slow(cat, node, what, a, b);
   }
@@ -80,32 +93,16 @@ class Tracer {
   /// tracer has no dependency on the simulator type.
   void set_clock(const TimeNs* now) noexcept { now_ = now; }
 
-  /// Number of events currently retained (≤ capacity).
-  [[nodiscard]] std::size_t size() const noexcept;
-  /// Total events recorded, including those overwritten after wraparound.
-  [[nodiscard]] std::uint64_t recorded() const noexcept { return recorded_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
-  /// True once ring_ has been allocated (for the zero-alloc-when-disabled test).
-  [[nodiscard]] bool allocated() const noexcept { return !ring_.empty(); }
-
-  /// Copies retained events out in recording order (oldest first).
-  [[nodiscard]] std::vector<TraceEvent> events() const;
-
-  /// Writes retained events as one text line each:
-  ///   <time> <category> n<node> <what> a=<a> b=<b>
-  void dump(std::ostream& os) const;
-
-  void clear() noexcept;
+  /// Retained events, nodes ascending and per-node recording order.
+  [[nodiscard]] std::vector<TraceEvent> events() const { return log_.records(); }
 
  private:
   void record_slow(TraceCategory cat, NodeId node, const char* what, std::uint64_t a,
-                   std::uint64_t b) noexcept;
+                   std::uint64_t b);
 
   std::uint32_t mask_ = 0;
   const TimeNs* now_ = nullptr;
-  std::vector<TraceEvent> ring_;
-  std::size_t head_ = 0;  ///< next write slot
-  std::uint64_t recorded_ = 0;
+  NodeLog<TraceEvent> log_{kDefaultCapacity};
 };
 
 }  // namespace swish::telemetry

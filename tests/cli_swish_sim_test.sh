@@ -9,7 +9,8 @@
 #      pure JSON to stdout, and --trace-mask errors enumerate valid names.
 #   5. Sharding: impossible --shards values exit 2 with a diagnostic,
 #      --shards 1 is byte-identical to the flagless run, and same-seed
-#      multi-shard runs are byte-identical to each other.
+#      multi-shard runs (metrics, Perfetto, --trace dumps) are
+#      byte-identical to each other.
 #   6. Space overrides a class cannot serve exit 2; servable ones do work.
 set -u
 
@@ -167,7 +168,7 @@ expect_error2 "exceeds the fabric"       --switches 3 --shards 9
 expect_error2 "expects a count"          --switches 3 --shards banana
 expect_error2 "expects a count"          --switches 3 --shards 2x
 expect_error2 "multi-switch fabric"      --switches 1 --shards auto
-expect_error2 "require --shards 1"       --switches 3 --shards 3 --trace "$TMP/t.txt"
+expect_error2 "require --shards 1"       --switches 3 --shards 3 --pcap "$TMP/t.pcap"
 expect_error2 "require --shards 1"       --switches 3 --shards 3 --timeseries "$TMP/t.csv"
 
 # Values outside a flag's domain exit 2 naming the flag (out-of-range
@@ -216,6 +217,24 @@ if ! cmp -s "$TMP/ps1.json" "$TMP/ps2.json"; then
   echo "FAIL: same-seed --shards 3 runs produced different Perfetto exports"
   fail=1
 fi
+
+# The flight recorder works at every shard count: a 2-shard --trace run
+# exits 0 and same-seed runs write identical dumps. (Runs are not compared
+# across shard counts: edge injection to non-zero shards is skewed by one
+# lookahead.)
+trace_args=(--nf nat --switches 3 --shards 2 --loss 0.02 --kill 1:20 --revive 1:30
+            --duration-ms 40 --seed 11 --quiet --trace-mask all)
+for i in 1 2; do
+  if ! "$BIN" "${trace_args[@]}" --trace "$TMP/ts$i.txt" >/dev/null 2>&1; then
+    echo "FAIL: --shards 2 --trace run $i exited nonzero"
+    fail=1
+  fi
+done
+if ! cmp -s "$TMP/ts1.txt" "$TMP/ts2.txt"; then
+  echo "FAIL: same-seed --shards 2 --trace runs wrote different dumps"
+  fail=1
+fi
+grep -q " drop n" "$TMP/ts1.txt" || { echo "FAIL: sharded trace has no drop event"; fail=1; }
 
 # Membership contract. Bad protocol names, impossible protocol/fabric
 # combinations, and invalid detection timing exit 2 with a diagnostic.

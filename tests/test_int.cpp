@@ -1,12 +1,13 @@
 // In-band network telemetry (INT) tests: the INT-MD wire codec (trailer
-// round-trip, hop-cap truncation), mirror-on-drop forensics (every network
-// loss carries a typed reason attributed to an exact switch, including under
-// a kill schedule, and so does every NF discard), per-node log retention
-// (oldest-first eviction, dense seqs, tallies that outlive eviction), INT
-// sink reports (per-hop path extraction), and the
-// fleet-health collector (SLO burn math, anomaly detectors on synthetic
-// series, JSON round-trip, and byte-identical output across --shards
-// {1, 2, 4} under loss).
+// round-trip, hop-cap truncation, and a fixed-seed fuzz of mutated
+// trailers), mirror-on-drop forensics (every network loss carries a typed
+// reason attributed to an exact switch, including under a kill schedule, and
+// so does every NF discard; the flight recorder counts each drop once with
+// its reason), per-node log retention (oldest-first eviction, dense seqs,
+// tallies that outlive eviction), INT sink reports (per-hop path
+// extraction), and the fleet-health collector (SLO burn math, anomaly
+// detectors on synthetic series, JSON round-trip, and byte-identical output
+// across --shards {1, 2, 4} under loss).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,10 +20,12 @@
 #include "nf/firewall.hpp"
 #include "nf/lb.hpp"
 #include "packet/int_md.hpp"
+#include "common/rng.hpp"
 #include "packet/packet.hpp"
 #include "swishmem/fabric.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/drop.hpp"
+#include "telemetry/trace.hpp"
 
 // ---------------------------------------------------------------------------
 // Wire codec
@@ -113,6 +116,101 @@ TEST(IntWire, PlainPacketsNeverMisdetect) {
   EXPECT_FALSE(read_int_stack(udp_packet()).has_value());
   // A runt buffer can't hold ethernet + trailer.
   EXPECT_FALSE(has_int_trailer(Packet(std::vector<std::uint8_t>(10, 0x54))));
+}
+
+/// One random change aimed at the trailer: the fixed tail's count and cap
+/// bytes, any of the last 64 bytes, or the buffer's length at either end.
+void mutate_trailer(std::vector<std::uint8_t>& bytes, Rng& rng) {
+  const std::size_t n = bytes.size();
+  switch (rng.next_below(5)) {
+    case 0:  // hop_count or hop_cap
+      if (n >= kIntTrailerBytes) {
+        bytes[n - kIntTrailerBytes + rng.next_below(2)] =
+            static_cast<std::uint8_t>(rng.next_below(256));
+      }
+      break;
+    case 1:  // bit flip near the tail
+      if (n > 0) {
+        bytes[n - 1 - rng.next_below(std::min<std::size_t>(n, 64))] ^= 1u << rng.next_below(8);
+      }
+      break;
+    case 2:  // random byte near the tail
+      if (n > 0) {
+        bytes[n - 1 - rng.next_below(std::min<std::size_t>(n, 64))] =
+            static_cast<std::uint8_t>(rng.next_below(256));
+      }
+      break;
+    case 3:  // cut bytes off the front: declared hop records may overrun it
+      bytes.erase(bytes.begin(),
+                  bytes.begin() + static_cast<std::ptrdiff_t>(rng.next_below(n + 1)));
+      break;
+    default:  // cut bytes off the end
+      bytes.resize(n - rng.next_below(std::min<std::size_t>(n, 16) + 1));
+      break;
+  }
+}
+
+TEST(IntFuzz, MutatedTrailersParseSafely) {
+  // Stacks of random depth (past the cap, too) round-trip exactly; after
+  // random mutation, every trailer function returns without throwing and
+  // stays inside the buffer (tools/check.sh runs this under ASan/UBSan), and
+  // whatever still parses is structurally consistent.
+  Rng rng(0x1A7F);
+  const Packet orig = udp_packet();
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const auto cap = static_cast<std::uint8_t>(rng.next_range(1, 8));
+    Packet p = with_int_trailer(orig, cap);
+    std::vector<telemetry::IntHop> pushed;
+    for (auto n = rng.next_below(cap + 2u); n > 0; --n) {
+      const telemetry::IntHop h =
+          hop(static_cast<std::uint32_t>(rng.next()), static_cast<TimeNs>(rng.next() >> 1),
+              static_cast<TimeNs>(rng.next() >> 1), static_cast<std::uint32_t>(rng.next()),
+              static_cast<std::uint32_t>(rng.next()));
+      if (pushed.size() < cap) pushed.push_back(h);
+      p = push_int_hop(p, h);
+    }
+    const auto stack = read_int_stack(p);
+    ASSERT_TRUE(stack.has_value());
+    EXPECT_EQ(stack->hop_cap, cap);
+    ASSERT_EQ(stack->hops.size(), pushed.size());
+    for (std::size_t i = 0; i < pushed.size(); ++i) {
+      EXPECT_EQ(stack->hops[i].switch_id, pushed[i].switch_id);
+      EXPECT_EQ(stack->hops[i].ingress_ts, pushed[i].ingress_ts);
+      EXPECT_EQ(stack->hops[i].egress_ts, pushed[i].egress_ts);
+      EXPECT_EQ(stack->hops[i].queue_depth, pushed[i].queue_depth);
+      EXPECT_EQ(stack->hops[i].rule_hit, pushed[i].rule_hit);
+    }
+    EXPECT_TRUE(std::ranges::equal(strip_int_trailer(p).bytes(), orig.bytes()));
+
+    std::vector<std::uint8_t> bytes(p.bytes().begin(), p.bytes().end());
+    for (auto n = rng.next_range(1, 3); n > 0; --n) mutate_trailer(bytes, rng);
+    const Packet m{std::span<const std::uint8_t>(bytes)};
+    std::optional<IntStack> got;
+    ASSERT_NO_THROW(got = read_int_stack(m));
+    Packet stripped;
+    Packet grown;
+    ASSERT_NO_THROW(stripped = strip_int_trailer(m));
+    ASSERT_NO_THROW(grown = push_int_hop(m, pushed.empty() ? hop(1, 2, 3, 4, 5) : pushed[0]));
+    if (!got) {
+      ++rejected;
+      EXPECT_FALSE(has_int_trailer(m));
+      EXPECT_EQ(int_trailer_size(m), 0u);
+      EXPECT_EQ(stripped.size(), m.size());
+      EXPECT_EQ(grown.size(), m.size());
+      continue;
+    }
+    ++parsed;
+    EXPECT_TRUE(has_int_trailer(m));
+    EXPECT_LE(got->hops.size(), got->hop_cap);
+    EXPECT_EQ(int_trailer_size(m), kIntTrailerBytes + got->hops.size() * kIntHopBytes);
+    EXPECT_EQ(stripped.size(), m.size() - int_trailer_size(m));
+    const bool full = got->hops.size() == got->hop_cap;
+    EXPECT_EQ(grown.size(), m.size() + (full ? 0 : kIntHopBytes));
+  }
+  EXPECT_GT(parsed, 200u);
+  EXPECT_GT(rejected, 200u);
 }
 
 }  // namespace
@@ -233,6 +331,34 @@ TEST(MirrorOnDrop, KillScheduleAttributesDeadNodeBlackholes) {
       it->second[static_cast<std::size_t>(telemetry::DropReason::kDeadNode)];
   EXPECT_EQ(at_dead_switch, net.packets_dropped_dead)
       << "every blackholed packet is attributed to the dead switch";
+}
+
+TEST(MirrorOnDrop, FlightRecorderCountsEachDropOnceWithItsReason) {
+  // A lossy kill/revive run on two shards: the recorder's drop events per
+  // (node, reason) equal the exact drop tallies, because DropRing::record
+  // writes the one drop event for every reason and no drop site adds another.
+  IntRig rig(/*shards=*/2, /*loss=*/0.1);
+  rig.fabric.enable_trace(telemetry::kTraceDrop);
+  rig.fabric.schedule_kill(1, 10 * kMs);
+  rig.fabric.schedule_revive(1, 40 * kMs);
+  rig.drive_writes();
+
+  std::map<std::pair<NodeId, std::string>, std::uint64_t> expected;
+  for (const auto& [node, counts] : rig.fabric.all_drop_counts()) {
+    for (std::size_t r = 0; r < telemetry::kNumDropReasons; ++r) {
+      if (counts[r] == 0) continue;
+      expected[{node, telemetry::to_string(static_cast<telemetry::DropReason>(r))}] = counts[r];
+    }
+  }
+  std::map<std::pair<NodeId, std::string>, std::uint64_t> traced;
+  for (const auto& ev : rig.fabric.all_trace_events()) {
+    EXPECT_EQ(ev.category, telemetry::kTraceDrop);
+    ++traced[{ev.node, ev.what}];
+  }
+  const auto fleet = rig.fleet_drops();
+  ASSERT_GT(fleet.count(telemetry::DropReason::kLinkLoss), 0u);
+  ASSERT_GT(fleet.count(telemetry::DropReason::kDeadNode), 0u);
+  EXPECT_EQ(traced, expected);
 }
 
 TEST(IntSink, ReportsCarryTheFullPerHopPath) {

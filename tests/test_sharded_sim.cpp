@@ -28,6 +28,7 @@
 #include "swishmem/fabric.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/span.hpp"
+#include "telemetry/trace.hpp"
 
 namespace swish::shm {
 namespace {
@@ -153,6 +154,7 @@ struct ShardRig {
     if (tracing) {
       fabric.enable_spans(span_sample);
       fabric.enable_observatory();
+      fabric.enable_trace(telemetry::kTraceAll);
     }
     fabric.add_space(sro_space());
     fabric.add_space(ewo_space());
@@ -197,11 +199,13 @@ struct ShardRig {
                                                                 : it->second.count;
   }
 
-  /// Raw fabric-wide telemetry: the Perfetto export of all_spans(), then
-  /// every drop record and INT report in gather order.
+  /// Raw fabric-wide telemetry: the Perfetto export of all_spans(), the
+  /// flight-recorder dump of all_trace_events(), then every drop record and
+  /// INT report in gather order.
   std::string telemetry_dump() {
     std::ostringstream os;
     telemetry::write_perfetto(os, fabric.all_spans());
+    telemetry::write_trace(os, fabric.all_trace_events());
     for (const auto& d : fabric.all_drop_records()) {
       os << "drop " << d.time << ' ' << d.node << ' ' << d.seq << ' '
          << telemetry::to_string(d.reason) << ' ' << d.packet_bytes << ' ' << d.detail << ' '
@@ -257,9 +261,10 @@ TEST(ShardedSim, RepeatShardedRunsAreByteIdentical) {
 
 TEST(ShardedSim, RawTelemetryIdenticalAcrossShardCountsAtEverySampleRate) {
   // Under loss, --shards {1,2,4} produce byte-identical raw Perfetto exports,
-  // drop records and INT reports for the same seed, at 1-in-1 and 1-in-4
-  // span sampling: sampling and id allocation run per switch, and every
-  // per-node record gathers in (time, node, seq) order.
+  // flight-recorder dumps (every category), drop records and INT reports
+  // for the same seed, at 1-in-1 and 1-in-4 span sampling: sampling and id
+  // allocation run per switch, and every per-node record gathers in
+  // (time, node, seq) order.
   for (const std::uint64_t sample : {std::uint64_t{1}, std::uint64_t{4}}) {
     ShardRig one(1, /*seed=*/13, /*loss=*/0.25, /*tracing=*/true, sample, /*int_sample=*/4);
     one.drive_writes();
@@ -267,6 +272,7 @@ TEST(ShardedSim, RawTelemetryIdenticalAcrossShardCountsAtEverySampleRate) {
     ASSERT_FALSE(one.fabric.all_spans().empty()) << "sample=" << sample;
     ASSERT_FALSE(one.fabric.all_drop_records().empty()) << "sample=" << sample;
     ASSERT_FALSE(one.fabric.all_int_reports().empty()) << "sample=" << sample;
+    ASSERT_FALSE(one.fabric.all_trace_events().empty()) << "sample=" << sample;
 
     for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
       ShardRig rig(shards, /*seed=*/13, /*loss=*/0.25, /*tracing=*/true, sample,

@@ -1,6 +1,6 @@
 // Telemetry layer tests (the unified metrics/trace substrate): registry
 // handle semantics and hierarchy rules, byte-deterministic export, snapshot
-// diff/merge, tracer ring behavior and its zero-cost-when-disabled claim, and
+// diff/merge, per-node tracer retention and its zero-cost-when-disabled claim, and
 // the per-class-bytes == bytes_total reconciliation re-proved from registry
 // snapshots instead of the legacy stats structs.
 #include <gtest/gtest.h>
@@ -106,26 +106,37 @@ TEST(MetricsSnapshot, DiffSubtractsAndMergeAdds) {
 // ---------------------------------------------------------------------------
 
 TEST(Tracer, DisabledTracerAllocatesAndRecordsNothing) {
+  // Nothing is recorded, so the per-node log never creates a node's ring
+  // (the allocation count itself is pinned in test_telemetry_cost.cpp).
   Tracer t;
   for (int i = 0; i < 1000; ++i) t.record(kTracePacket, 1, "noop", i);
-  EXPECT_FALSE(t.allocated());
-  EXPECT_EQ(t.recorded(), 0u);
-  EXPECT_EQ(t.size(), 0u);
-  // A fresh simulator's tracer is disabled and unallocated too.
+  EXPECT_TRUE(t.events().empty());
+  // A fresh simulator's tracer is disabled and empty too.
   sim::Simulator sim;
-  EXPECT_FALSE(sim.tracer().allocated());
+  EXPECT_EQ(sim.tracer().mask(), 0u);
+  EXPECT_TRUE(sim.tracer().events().empty());
 }
 
 TEST(Tracer, RingWrapsKeepingNewestEvents) {
+  // Capacity is per node: node 1 overflows and keeps its newest 4 events
+  // (seqs keep counting), while node 2's two events are untouched.
   Tracer t;
   t.enable(kTraceAll, /*capacity=*/4);
-  for (std::uint64_t i = 0; i < 10; ++i) t.record(kTracePacket, 1, "ev", i);
-  EXPECT_EQ(t.recorded(), 10u);
-  EXPECT_EQ(t.size(), 4u);
-  const auto events = t.events();
-  ASSERT_EQ(events.size(), 4u);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    t.record(kTracePacket, 1, "ev", i);
+    if (i < 2) t.record(kTracePacket, 2, "other", i);
+  }
+  const auto events = t.events();  // nodes ascending, per-node order
+  ASSERT_EQ(events.size(), 6u);
   for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[i].node, 1u);
     EXPECT_EQ(events[i].a, 6u + i);  // oldest retained first
+    EXPECT_EQ(events[i].seq, 7u + i);
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(events[4 + i].node, 2u);
+    EXPECT_EQ(events[4 + i].a, i);
+    EXPECT_EQ(events[4 + i].seq, 1u + i);
   }
 }
 
@@ -134,11 +145,11 @@ TEST(Tracer, MaskFiltersCategories) {
   t.enable(kTraceDrop | kTraceFailover);
   t.record(kTracePacket, 1, "masked-off");
   t.record(kTraceDrop, 2, "kept");
-  EXPECT_EQ(t.recorded(), 1u);
+  ASSERT_EQ(t.events().size(), 1u);
   EXPECT_STREQ(t.events().at(0).what, "kept");
   t.enable(0);  // disable again
   t.record(kTraceDrop, 2, "after-disable");
-  EXPECT_EQ(t.recorded(), 1u);  // nothing recorded while disabled
+  EXPECT_EQ(t.events().size(), 1u);  // nothing recorded while disabled
 }
 
 TEST(Tracer, ParseTraceMaskRoundTrips) {
@@ -281,7 +292,7 @@ TEST(TelemetryFullStack, MigrationAndFailoverEmitTraceEvents) {
   fabric.add_space(sp, {1, 2});
   fabric.install(nullptr);
   fabric.start();
-  fabric.simulator().tracer().enable(telemetry::kTraceMigration | telemetry::kTraceFailover);
+  fabric.enable_trace(telemetry::kTraceMigration | telemetry::kTraceFailover);
 
   fabric.runtime(0).write({{kSro, 3, 33}}, pkt::Packet{}, nullptr);
   fabric.run_for(100 * kMs);
@@ -293,7 +304,7 @@ TEST(TelemetryFullStack, MigrationAndFailoverEmitTraceEvents) {
   ASSERT_GT(migrated_at, 0);
 
   bool saw_start = false, saw_done = false, saw_fail = false;
-  for (const auto& ev : fabric.simulator().tracer().events()) {
+  for (const auto& ev : fabric.all_trace_events()) {
     const std::string what = ev.what;
     saw_start |= what == "migrate_space_start";
     saw_done |= what == "migrate_space_done";

@@ -16,6 +16,7 @@
 #include "alloc_counter.hpp"
 #include "nf/heavyhitter.hpp"
 #include "swishmem/fabric.hpp"
+#include "telemetry/trace.hpp"
 
 namespace swish {
 namespace {
@@ -112,6 +113,19 @@ TEST(TelemetryCost, UnsampledSpanRecorderCostsAConstant) {
     EXPECT_EQ(on.allocs - off.allocs, 16u) << traffic << " ns of traffic";
     EXPECT_EQ(on.link_bytes - off.link_bytes, 408u) << traffic << " ns of traffic";
   }
+}
+
+TEST(TelemetryCost, MaskedOffTraceEventsNeverAllocate) {
+  // A masked-off category costs one load and one branch: a disabled tracer,
+  // and one with only other categories on, record 1000 events with no heap
+  // allocation.
+  telemetry::Tracer tracer;
+  const std::uint64_t allocs_before = bench::total_allocs();
+  for (std::uint64_t i = 0; i < 1000; ++i) tracer.record(telemetry::kTracePacket, 1, "off", i);
+  tracer.enable(telemetry::kTraceDrop);
+  for (std::uint64_t i = 0; i < 1000; ++i) tracer.record(telemetry::kTracePacket, 1, "off", i);
+  EXPECT_EQ(bench::total_allocs() - allocs_before, 0u);
+  EXPECT_TRUE(tracer.events().empty());
 }
 
 TEST(TelemetryCost, InbandSamplingAt1In64CostsASixtyFourthOfFullSampling) {

@@ -134,7 +134,10 @@ struct Options {
       << "  --pcap FILE             capture all fabric traffic\n"
       << "  --metrics-json FILE     write the full metrics registry as JSON\n"
       << "                          (FILE of - writes to stdout)\n"
-      << "  --trace FILE            record a flight-recorder trace and dump it\n"
+      << "  --trace FILE            record a flight-recorder trace (newest "
+      << telemetry::Tracer::kDefaultCapacity << "\n"
+      << "                          events per node) and dump it in (time, node,\n"
+      << "                          seq) order; works at every --shards count\n"
       << "  --trace-mask CATS       comma list of categories (needs --trace):\n"
       << "                          " << telemetry::trace_category_list() << "\n"
       << "                          (default all)\n"
@@ -425,9 +428,9 @@ std::size_t resolve_shards(const Options& opt) {
       std::exit(2);
     }
   }
-  if (shards > 1 && (!opt.pcap.empty() || !opt.trace.empty() || !opt.timeseries.empty())) {
-    std::cerr << "error: --pcap, --trace and --timeseries observe a single global event "
-                 "loop and require --shards 1\n";
+  if (shards > 1 && (!opt.pcap.empty() || !opt.timeseries.empty())) {
+    std::cerr << "error: --pcap and --timeseries observe a single global event loop and "
+                 "require --shards 1\n";
     std::exit(2);
   }
   return shards;
@@ -515,7 +518,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   shm::Fabric& fabric = *fabric_storage;
-  if (!opt.trace.empty()) fabric.simulator().tracer().enable(opt.trace_mask);
+  if (!opt.trace.empty()) fabric.enable_trace(opt.trace_mask);
   // Causal tracing + consistency-lag observatory. The observatory also runs
   // for --timeseries (the CSV picks up the lag.* series) and for --int-sample
   // (the health collector derives per-class SLO burn from the lag.class.*
@@ -982,11 +985,15 @@ int main(int argc, char** argv) {
       std::cerr << "error: cannot open " << opt.trace << " for writing\n";
       return 1;
     }
-    const telemetry::Tracer& tracer = fabric.simulator().tracer();
-    tracer.dump(out);
-    rep << "trace: wrote " << tracer.size() << " events (" << tracer.recorded()
-              << " recorded, mask " << telemetry::trace_mask_to_string(tracer.mask())
-              << ") to " << opt.trace << "\n";
+    const std::vector<telemetry::TraceEvent> events = fabric.all_trace_events();
+    telemetry::write_trace(out, events);
+    // A node's newest retained event carries its seq: how many it recorded.
+    std::map<NodeId, std::uint64_t> recorded;
+    for (const auto& e : events) recorded[e.node] = std::max(recorded[e.node], e.seq);
+    std::uint64_t total = 0;
+    for (const auto& [node, n] : recorded) total += n;
+    rep << "trace: wrote " << events.size() << " events (" << total << " recorded, mask "
+        << telemetry::trace_mask_to_string(opt.trace_mask) << ") to " << opt.trace << "\n";
   }
   return 0;
 }
