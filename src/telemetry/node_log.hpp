@@ -4,11 +4,11 @@
 // sink reports, causal spans, flight-recorder events — carries a
 // (time, node, seq) identity where seq is dense per node in that node's
 // recording order. Each node lives on exactly one shard and records
-// single-writer in simulation order, so the
-// identity is a pure function of the node's own event stream: gathering the
-// per-shard (or per-switch) sources and sorting by it yields the same
-// canonical stream at every shard count. merge_canonical is that sort;
-// record_key overloads next to each record type define its identity.
+// single-writer in simulation order, so the identity is a pure function of
+// the node's own event stream: gathering the per-shard (or per-switch)
+// sources and sorting by it yields the same canonical stream at every shard
+// count. merge_canonical is that sort; record_key overloads next to each
+// record type define its identity.
 #pragma once
 
 #include <algorithm>

@@ -17,10 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "nf/firewall.hpp"
 #include "nf/lb.hpp"
 #include "packet/int_md.hpp"
-#include "common/rng.hpp"
 #include "packet/packet.hpp"
 #include "swishmem/fabric.hpp"
 #include "telemetry/collector.hpp"
